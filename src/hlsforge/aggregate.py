@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, make_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 from xml.etree import ElementTree
 
 from .core import DESIGN_DATA_FILENAME, POST_FRONTEND_SUFFIX
@@ -78,73 +79,52 @@ class MetricsBundle:
     execution: ExecutionMeta | None = None
 
 
+# Metric sections: MetricsBundle attribute, dataclass, column prefix, sidecar file.
+_SECTIONS = (("hls", HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
+             ("impl", ImplMetrics, "impl_", IMPL_DATA_FILENAME),
+             ("execution", ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
+
+
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> plain type, in field order; ``int | None`` gives int."""
+    hints = get_type_hints(cls)
+    return {f.name: next(t for t in get_args(hints[f.name]) or (hints[f.name],)
+                         if t is not type(None))
+            for f in fields(cls)}
+
+
+_FIELD_TYPES = {cls: _field_types(cls) for _, cls, _, _ in _SECTIONS}
+
 # Column order is the table schema; exports and imports key off these names.
-IDENTITY_COLUMNS = ("design_id", "base_name", "dataset", "vendor")
-ASSIGNMENT_COLUMNS = ("assignment_summary", "n_directives", "max_unroll", "n_unrolled",
-                      "n_partitioned")
-HLS_COLUMNS = ("hls_latency_best_cycles", "hls_latency_avg_cycles", "hls_latency_worst_cycles",
-               "hls_ii", "hls_clock_estimate_ns", "hls_lut", "hls_ff", "hls_dsp", "hls_bram",
-               "hls_uram")
-IMPL_COLUMNS = ("impl_wns_ns", "impl_whs_ns", "impl_lut", "impl_ff", "impl_dsp", "impl_bram",
-                "impl_total_power_w")
-EXECUTION_COLUMNS = ("exec_tool_name", "exec_tool_version", "exec_runtime_s", "exec_status")
-COLUMNS = IDENTITY_COLUMNS + ASSIGNMENT_COLUMNS + HLS_COLUMNS + IMPL_COLUMNS + EXECUTION_COLUMNS
-
-_INT_COLUMNS = {
-    "n_directives", "max_unroll", "n_unrolled", "n_partitioned",
-    "hls_latency_best_cycles", "hls_latency_avg_cycles", "hls_latency_worst_cycles", "hls_ii",
-    "hls_lut", "hls_ff", "hls_dsp", "hls_bram", "hls_uram",
-    "impl_lut", "impl_ff", "impl_dsp", "impl_bram",
+# The identity and assignment columns come first, then every metric field
+# under its section's prefix, so adding a metric is adding one field.
+_COLUMN_TYPES: dict[str, type] = {
+    "design_id": str, "base_name": str, "dataset": str, "vendor": str,
+    "assignment_summary": str, "n_directives": int, "max_unroll": int, "n_unrolled": int,
+    "n_partitioned": int,
+    **{prefix + name: kind for _, cls, prefix, _ in _SECTIONS
+       for name, kind in _FIELD_TYPES[cls].items()},
 }
-_FLOAT_COLUMNS = {"hls_clock_estimate_ns", "impl_wns_ns", "impl_whs_ns", "impl_total_power_w",
-                  "exec_runtime_s"}
+COLUMNS = tuple(_COLUMN_TYPES)
+
+# (bundle attribute, ((field, column), ...)) per section: how a bundle fills a row
+_ROW_FILL = tuple((attr, tuple((name, prefix + name) for name in _FIELD_TYPES[cls]))
+                  for attr, cls, prefix, _ in _SECTIONS)
 
 
-@dataclass
-class AggregatedRow:
-    """One design, flat; every column nullable so partial data stays honest."""
+def _row_as_dict(row) -> dict:
+    return {name: getattr(row, name) for name in COLUMNS}
 
-    design_id: str | None = None
-    base_name: str | None = None
-    dataset: str | None = None
-    vendor: str | None = None
-    assignment_summary: str | None = None
-    n_directives: int | None = None
-    max_unroll: int | None = None
-    n_unrolled: int | None = None
-    n_partitioned: int | None = None
-    hls_latency_best_cycles: int | None = None
-    hls_latency_avg_cycles: int | None = None
-    hls_latency_worst_cycles: int | None = None
-    hls_ii: int | None = None
-    hls_clock_estimate_ns: float | None = None
-    hls_lut: int | None = None
-    hls_ff: int | None = None
-    hls_dsp: int | None = None
-    hls_bram: int | None = None
-    hls_uram: int | None = None
-    impl_wns_ns: float | None = None
-    impl_whs_ns: float | None = None
-    impl_lut: int | None = None
-    impl_ff: int | None = None
-    impl_dsp: int | None = None
-    impl_bram: int | None = None
-    impl_total_power_w: float | None = None
-    exec_tool_name: str | None = None
-    exec_tool_version: str | None = None
-    exec_runtime_s: float | None = None
-    exec_status: str | None = None
 
-    @property
-    def has_hls(self) -> bool:
-        return self.hls_lut is not None
-
-    @property
-    def has_impl(self) -> bool:
-        return self.impl_lut is not None
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in COLUMNS}
+AggregatedRow = make_dataclass(
+    "AggregatedRow", [(name, kind | None, None) for name, kind in _COLUMN_TYPES.items()],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One design, flat; every column nullable so partial data stays honest.",
+        "has_hls": property(lambda row: row.hls_lut is not None),
+        "has_impl": property(lambda row: row.impl_lut is not None),
+        "as_dict": _row_as_dict,
+    })
 
 
 @dataclass
@@ -220,25 +200,27 @@ def parse_impl_report(json_text: str) -> ImplMetrics:
         raise MalformedReport(f"impl report is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedReport("impl report must be a JSON object")
-    for name in ("wns_ns", "whs_ns", "lut", "ff", "dsp", "bram", "total_power_w"):
+    types = _FIELD_TYPES[ImplMetrics]
+    for name in types:
         if name not in payload:
             raise MissingField(f"impl report lacks required field {name!r}")
-    return ImplMetrics(
-        wns_ns=float(payload["wns_ns"]), whs_ns=float(payload["whs_ns"]),
-        lut=int(payload["lut"]), ff=int(payload["ff"]), dsp=int(payload["dsp"]),
-        bram=int(payload["bram"]), total_power_w=float(payload["total_power_w"]))
+    return ImplMetrics(**{name: kind(payload[name]) for name, kind in types.items()})
 
 
 def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
-    """Write data_hls/impl/execution.json for the bundle's present sections."""
+    """Write data_hls/impl/execution.json for the bundle's present sections.
+
+    The file of an absent section is removed, so no earlier run's values
+    outlive the run that lost them.
+    """
     design_dir = Path(design_dir)
     written = []
-    for section, filename in ((bundle.hls, HLS_DATA_FILENAME),
-                              (bundle.impl, IMPL_DATA_FILENAME),
-                              (bundle.execution, EXECUTION_DATA_FILENAME)):
-        if section is None:
-            continue
+    for attr, _, _, filename in _SECTIONS:
+        section = getattr(bundle, attr)
         path = design_dir / filename
+        if section is None:
+            path.unlink(missing_ok=True)
+            continue
         payload = {"schema_version": SCHEMA_VERSION, **asdict(section)}
         path.write_text(json.dumps(payload, indent=2) + "\n")
         written.append(path)
@@ -260,10 +242,8 @@ def _read_section(design_dir: Path, filename: str, cls):
 
 def read_standard_json(design_dir: Path) -> MetricsBundle:
     design_dir = Path(design_dir)
-    return MetricsBundle(
-        hls=_read_section(design_dir, HLS_DATA_FILENAME, HlsSynthMetrics),
-        impl=_read_section(design_dir, IMPL_DATA_FILENAME, ImplMetrics),
-        execution=_read_section(design_dir, EXECUTION_DATA_FILENAME, ExecutionMeta))
+    return MetricsBundle(**{attr: _read_section(design_dir, filename, cls)
+                            for attr, cls, _, filename in _SECTIONS})
 
 
 def _assignment_columns(entries: list[dict]) -> dict:
@@ -309,30 +289,11 @@ def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
         row.design_id = design_dir.name
         row.base_name = design_dir.name.split("__")[0]
     bundle = read_standard_json(design_dir)
-    if bundle.hls is not None:
-        row.hls_latency_best_cycles = bundle.hls.latency_best_cycles
-        row.hls_latency_avg_cycles = bundle.hls.latency_avg_cycles
-        row.hls_latency_worst_cycles = bundle.hls.latency_worst_cycles
-        row.hls_ii = bundle.hls.ii
-        row.hls_clock_estimate_ns = bundle.hls.clock_estimate_ns
-        row.hls_lut = bundle.hls.lut
-        row.hls_ff = bundle.hls.ff
-        row.hls_dsp = bundle.hls.dsp
-        row.hls_bram = bundle.hls.bram
-        row.hls_uram = bundle.hls.uram
-    if bundle.impl is not None:
-        row.impl_wns_ns = bundle.impl.wns_ns
-        row.impl_whs_ns = bundle.impl.whs_ns
-        row.impl_lut = bundle.impl.lut
-        row.impl_ff = bundle.impl.ff
-        row.impl_dsp = bundle.impl.dsp
-        row.impl_bram = bundle.impl.bram
-        row.impl_total_power_w = bundle.impl.total_power_w
-    if bundle.execution is not None:
-        row.exec_tool_name = bundle.execution.tool_name
-        row.exec_tool_version = bundle.execution.tool_version
-        row.exec_runtime_s = bundle.execution.runtime_s
-        row.exec_status = bundle.execution.status
+    for attr, columns in _ROW_FILL:
+        section = getattr(bundle, attr)
+        if section is not None:
+            for name, column in columns:
+                setattr(row, column, getattr(section, name))
     return row
 
 
@@ -380,11 +341,8 @@ def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> P
 def _coerce(column: str, value):
     if value is None or value == "":
         return None
-    if column in _INT_COLUMNS:
-        return int(float(value))
-    if column in _FLOAT_COLUMNS:
-        return float(value)
-    return str(value)
+    kind = _COLUMN_TYPES[column]
+    return int(float(value)) if kind is int else kind(value)
 
 
 def load_table(path: Path) -> AggregatedTable:
@@ -490,9 +448,10 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
                 if raw is None or raw == "":
                     setattr(row, dst, None)
                     continue
-                if dst in units and dst in _FLOAT_COLUMNS | _INT_COLUMNS:
+                kind = _COLUMN_TYPES[dst]
+                if dst in units and kind is not str:
                     converted = _apply_unit(units[dst], float(raw))
-                    value = int(round(converted)) if dst in _INT_COLUMNS else converted
+                    value = int(round(converted)) if kind is int else converted
                 else:
                     value = _coerce(dst, raw)
                 setattr(row, dst, value)

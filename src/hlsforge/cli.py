@@ -56,17 +56,15 @@ from .executor import (
 )
 from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
 from .toolflows import (
+    EXTERNAL_FLOWS,
     KIND_EXTERNAL,
     MockCostConstants,
     ToolFlowSpec,
     custom_flow,
-    intel_hls_flow,
     mock_impl_flow,
     mock_synth_flow,
     simulated_runtime_s,
     tool_version,
-    vitis_hls_impl_flow,
-    vitis_hls_synth_flow,
 )
 
 WORK_DIR_ENV = "HLSFORGE_WORK_DIR"
@@ -152,6 +150,9 @@ def _mock_constants(raw: dict) -> MockCostConstants:
     return dataclasses.replace(MockCostConstants(), **overrides)
 
 
+_MOCK_FLOWS = {"mock_synth": mock_synth_flow, "mock_impl": mock_impl_flow}
+
+
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
     """Instantiate every configured flow up front (missing tools fail fast)."""
     specs = []
@@ -159,26 +160,17 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
         kind = raw["type"]
         timeout_s = float(raw.get("timeout_s", 3600.0))
         environment = tuple(sorted((k, str(v)) for k, v in raw.get("environment", {}).items()))
-        if kind == "mock_synth":
-            specs.append(mock_synth_flow(timeout_s=timeout_s, constants=_mock_constants(raw)))
-        elif kind == "mock_impl":
-            specs.append(mock_impl_flow(timeout_s=timeout_s, constants=_mock_constants(raw)))
-        elif kind == "vitis_hls_synth":
-            specs.append(vitis_hls_synth_flow(executable=raw.get("executable", "vitis_hls"),
-                                              timeout_s=timeout_s, environment=environment))
-        elif kind == "vitis_hls_impl":
-            specs.append(vitis_hls_impl_flow(executable=raw.get("executable", "vitis_hls"),
-                                             timeout_s=timeout_s, environment=environment))
-        elif kind == "intel_hls":
-            specs.append(intel_hls_flow(executable=raw.get("executable", "i++"),
-                                        timeout_s=timeout_s,
-                                        command=tuple(raw.get("command", ())),
-                                        environment=environment))
+        command = tuple(raw.get("command") or ())
+        if kind in _MOCK_FLOWS:
+            specs.append(_MOCK_FLOWS[kind](timeout_s=timeout_s, constants=_mock_constants(raw)))
+        elif kind in EXTERNAL_FLOWS:
+            flow = EXTERNAL_FLOWS[kind]
+            specs.append(flow.spec(raw.get("executable", flow.executable), command, timeout_s,
+                                   environment))
         elif kind == "custom":
-            command = raw.get("command")
             if not command:
                 raise ConfigError(f"flows[{i}]: custom flow needs a command list")
-            specs.append(custom_flow(name=raw.get("name", f"custom_{i}"), command=tuple(command),
+            specs.append(custom_flow(name=raw.get("name", f"custom_{i}"), command=command,
                                      required_files=tuple(raw.get("required_files", ())),
                                      timeout_s=timeout_s, environment=environment))
         else:

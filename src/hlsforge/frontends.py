@@ -153,15 +153,22 @@ def _write_design_data(out_dir: Path, base_name: str, design_id: str, vendor: st
     })
 
 
-def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
-                 layout: WorkspaceLayout) -> ConcreteDesign:
-    """Copy sources (minus the template), write canonical opt.tcl and design data."""
+def _lowering_copy(design: AbstractDesign, assignment: DirectiveAssignment,
+                   layout: WorkspaceLayout) -> tuple[str, Path]:
+    """The design's id and a fresh copy of its sources, minus the template."""
     if not design.frontend_ready:
         raise MissingTemplate(f"design {design.name!r} has no {OPT_TEMPLATE_FILENAME}")
     design_id = concrete_design_id(design.name, assignment)
     out_dir = layout.post_frontend_dir(design.dataset_name) / design_id
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
+    return design_id, out_dir
+
+
+def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
+                 layout: WorkspaceLayout) -> ConcreteDesign:
+    """Copy sources (minus the template), write canonical opt.tcl and design data."""
+    design_id, out_dir = _lowering_copy(design, assignment, layout)
     (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
     _write_design_data(out_dir, design.name, design_id, "xilinx", assignment)
     return ConcreteDesign(design_id, design.name, out_dir, "xilinx", assignment.canonicalized())
@@ -207,12 +214,7 @@ def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
                 layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources and inject annotations after each label's anchor comment."""
-    if not design.frontend_ready:
-        raise MissingTemplate(f"design {design.name!r} has no {OPT_TEMPLATE_FILENAME}")
-    design_id = concrete_design_id(design.name, assignment)
-    out_dir = layout.post_frontend_dir(design.dataset_name) / design_id
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
+    design_id, out_dir = _lowering_copy(design, assignment, layout)
 
     canon = assignment.canonicalized()
     by_label: dict[str, list[IntelAnnotation]] = {}

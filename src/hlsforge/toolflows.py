@@ -22,14 +22,17 @@ power_base_w + lut * power_lut_w + dsp * power_dsp_w.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import time
-from dataclasses import dataclass, replace
+import traceback
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -43,7 +46,6 @@ from .aggregate import (
 from .core import design_dir, design_identity, validate_design_files
 from .errors import (
     ExecutableNotFound,
-    HlsForgeError,
     LabelUnknown,
     ManifestMissing,
     SynthReportMissing,
@@ -58,6 +60,7 @@ STATUS_SKIPPED = "skipped_missing_files"
 KIND_MOCK_SYNTH = "mock_synth"
 KIND_MOCK_IMPL = "mock_impl"
 KIND_EXTERNAL = "external"
+_MOCK_REPORTS = {KIND_MOCK_SYNTH: CSYNTH_REPORT_RELPATH, KIND_MOCK_IMPL: IMPL_REPORT_RELPATH}
 
 _PRAGMA_UNROLL_RE = re.compile(r"^\s*#pragma\s+unroll\s+(\d+)\s*$")
 _NUMBANKS_RE = re.compile(r"^\s*hls_numbanks\((\d+)\)\s*$")
@@ -186,35 +189,38 @@ def _require_executable(executable: str) -> None:
         raise ExecutableNotFound(f"{executable!r} not found on PATH")
 
 
-def vitis_hls_synth_flow(executable: str = "vitis_hls", timeout_s: float = 3600.0,
-                         environment: tuple[tuple[str, str], ...] = ()) -> ToolFlowSpec:
-    _require_executable(executable)
-    return ToolFlowSpec(name="vitis_hls_synth", kind=KIND_EXTERNAL,
-                        required_files=("dataset_hls.tcl",), timeout_s=timeout_s,
-                        environment=environment,
-                        command_template=(executable, "-f", "dataset_hls.tcl"),
-                        version_command=(executable, "-version"))
+@dataclass(frozen=True)
+class ExternalFlow:
+    """A vendor flow type: its name, default executable, the argv after the
+    executable ({sources} expands to the design's top-level C/C++ files), the
+    files each design needs, and the argv after the executable that prints the
+    tool version."""
+
+    name: str
+    executable: str
+    argv: tuple[str, ...]
+    required_files: tuple[str, ...]
+    version_argv: tuple[str, ...]
+
+    def spec(self, executable: str, command: tuple[str, ...], timeout_s: float,
+             environment: tuple[tuple[str, str], ...]) -> ToolFlowSpec:
+        """The flow's spec; a non-empty command replaces the default argv."""
+        _require_executable(executable)
+        return ToolFlowSpec(name=self.name, kind=KIND_EXTERNAL,
+                            required_files=self.required_files, timeout_s=timeout_s,
+                            environment=environment,
+                            command_template=command or (executable, *self.argv),
+                            version_command=(executable, *self.version_argv))
 
 
-def vitis_hls_impl_flow(executable: str = "vitis_hls", timeout_s: float = 7200.0,
-                        environment: tuple[tuple[str, str], ...] = ()) -> ToolFlowSpec:
-    _require_executable(executable)
-    return ToolFlowSpec(name="vitis_hls_impl", kind=KIND_EXTERNAL,
-                        required_files=("dataset_hls_ip_export.tcl",), timeout_s=timeout_s,
-                        environment=environment,
-                        command_template=(executable, "-f", "dataset_hls_ip_export.tcl"),
-                        version_command=(executable, "-version"))
-
-
-def intel_hls_flow(executable: str = "i++", timeout_s: float = 3600.0,
-                   command: tuple[str, ...] = (), environment: tuple[tuple[str, str], ...] = ()
-                   ) -> ToolFlowSpec:
-    # default command compiles every top-level .c/.cpp in the design dir
-    _require_executable(executable)
-    argv = command or (executable, "-march=FPGA", "--quartus-compile", "{sources}")
-    return ToolFlowSpec(name="intel_hls", kind=KIND_EXTERNAL, required_files=(),
-                        timeout_s=timeout_s, environment=environment, command_template=argv,
-                        version_command=(executable, "--version"))
+EXTERNAL_FLOWS = {flow.name: flow for flow in (
+    ExternalFlow("vitis_hls_synth", "vitis_hls", ("-f", "dataset_hls.tcl"),
+                 ("dataset_hls.tcl",), ("-version",)),
+    ExternalFlow("vitis_hls_impl", "vitis_hls", ("-f", "dataset_hls_ip_export.tcl"),
+                 ("dataset_hls_ip_export.tcl",), ("-version",)),
+    ExternalFlow("intel_hls", "i++", ("-march=FPGA", "--quartus-compile", "{sources}"),
+                 (), ("--version",)),
+)}
 
 
 def custom_flow(name: str, command: tuple[str, ...], required_files: tuple[str, ...] = (),
@@ -226,25 +232,24 @@ def custom_flow(name: str, command: tuple[str, ...], required_files: tuple[str, 
                         timeout_s=timeout_s, environment=environment, command_template=command)
 
 
-_VERSION_CACHE: dict[tuple[str, ...], str] = {}
-
-
 def tool_version(spec: ToolFlowSpec) -> str:
     """Mock flows report their constants' version; external tools are asked once."""
     if spec.kind in (KIND_MOCK_SYNTH, KIND_MOCK_IMPL):
         return spec.constants.version
     if not spec.version_command:
         return "unknown"
-    if spec.version_command not in _VERSION_CACHE:
-        try:
-            proc = subprocess.run(spec.version_command, capture_output=True, text=True,
-                                  timeout=30.0)
-            first = next((line.strip() for line in (proc.stdout or proc.stderr).splitlines()
-                          if line.strip()), "unknown")
-        except (OSError, subprocess.SubprocessError):
-            first = "unknown"
-        _VERSION_CACHE[spec.version_command] = first
-    return _VERSION_CACHE[spec.version_command]
+    return _ask_version(spec.version_command)
+
+
+@functools.cache
+def _ask_version(argv: tuple[str, ...]) -> str:
+    """First non-blank line the tool prints for its version argv."""
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=30.0)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return next((line.strip() for line in (proc.stdout or proc.stderr).splitlines()
+                 if line.strip()), "unknown")
 
 
 def extract_directives(design_root: Path) -> DirectiveProfile:
@@ -435,10 +440,7 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants(),
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
     out_path = root / IMPL_REPORT_RELPATH
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"wns_ns": metrics.wns_ns, "whs_ns": metrics.whs_ns, "lut": metrics.lut,
-               "ff": metrics.ff, "dsp": metrics.dsp, "bram": metrics.bram,
-               "total_power_w": metrics.total_power_w}
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    out_path.write_text(json.dumps(asdict(metrics), indent=2) + "\n")
     runtime = time.monotonic() - start
     log_path = root / f"{flow_name}.log"
     log_path.write_text(
@@ -465,18 +467,18 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
     env = {**os.environ, **dict(spec.environment)} if spec.environment else None
     start = time.monotonic()
     try:
-        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
-                              timeout=spec.timeout_s, env=env)
-        status = STATUS_OK if proc.returncode == 0 else STATUS_FAILED
-        stdout, stderr = proc.stdout, proc.stderr
-        tail = f"exit code {proc.returncode}"
-    except subprocess.TimeoutExpired as exc:
-        status = STATUS_TIMEOUT
-        stdout = exc.stdout.decode(errors="replace") if isinstance(exc.stdout, bytes) \
-            else (exc.stdout or "")
-        stderr = exc.stderr.decode(errors="replace") if isinstance(exc.stderr, bytes) \
-            else (exc.stderr or "")
-        tail = f"timed out after {spec.timeout_s}s (process killed)"
+        # a session of its own, so a timeout can kill every process the tool spawned
+        with subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env, start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=spec.timeout_s)
+                status = STATUS_OK if proc.returncode == 0 else STATUS_FAILED
+                tail = f"exit code {proc.returncode}"
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+                status = STATUS_TIMEOUT
+                tail = f"timed out after {spec.timeout_s}s (process group killed)"
     except OSError as exc:
         status = STATUS_FAILED
         stdout, stderr, tail = "", str(exc), "failed to launch"
@@ -486,26 +488,35 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
     return FlowOutcome(design_identity(design), spec.name, status, runtime, log_path)
 
 
+def _drop_stale_report(spec: ToolFlowSpec, root: Path) -> None:
+    """A mock run that fails or is skipped leaves no earlier run's report behind."""
+    if spec.kind in _MOCK_REPORTS:
+        (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
+
+
 def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
     """Run one flow on one design; failures become outcomes, never exceptions."""
     root = design_dir(design)
     log_path = root / f"{spec.name}.log"
     missing = validate_design_files(design, spec.required_files)
     if missing:
+        _drop_stale_report(spec, root)
         log_path.write_text(f"skipped: required file(s) missing: {', '.join(missing)}\n")
         return FlowOutcome(design_identity(design), spec.name, STATUS_SKIPPED, 0.0, log_path)
-    if spec.kind == KIND_EXTERNAL:
-        return _run_external(spec, design, log_path)
     start = time.monotonic()
     try:
+        if spec.kind == KIND_EXTERNAL:
+            return _run_external(spec, design, log_path)
         if spec.kind == KIND_MOCK_SYNTH:
             return mock_hls_synth(design, spec.constants, spec.name)
         if spec.kind == KIND_MOCK_IMPL:
             return mock_impl(design, spec.constants, spec.name)
         raise ValueError(f"unknown flow kind {spec.kind!r}")
-    except HlsForgeError as exc:
+    except Exception as exc:  # one bad design fails its own job, not its worker
         runtime = time.monotonic() - start
-        log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n")
+        _drop_stale_report(spec, root)
+        log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n\n"
+                            f"{traceback.format_exc()}")
         return FlowOutcome(design_identity(design), spec.name, STATUS_FAILED, runtime, log_path)
 
 
