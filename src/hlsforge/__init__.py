@@ -44,6 +44,7 @@ from .executor import (
     ExecutionRecord,
     Job,
     Timeline,
+    execute,
     execute_parallel_fine_grained,
     execute_parallel_naive,
     simulate_schedule,

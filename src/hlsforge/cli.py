@@ -17,7 +17,8 @@ import dataclasses
 import json
 import os
 import sys
-import time
+from collections import Counter
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -47,14 +48,9 @@ from .errors import (
     MissingDirectory,
     NoPairs,
 )
-from .executor import (
-    Timeline,
-    execute_parallel_fine_grained,
-    execute_parallel_naive,
-    utilization_rows,
-    write_timeline,
-)
+from .executor import STRATEGIES, Timeline, execute, utilization_rows, write_timeline
 from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
+from .pool import fork_map, local_workers
 from .toolflows import (
     EXTERNAL_FLOWS,
     KIND_EXTERNAL,
@@ -128,8 +124,7 @@ def load_run_config(path: Path) -> RunConfig:
     executor = payload.get("executor", {})
     _expect(isinstance(executor, dict), "executor must be an object")
     strategy = executor.get("strategy", "fine_grained")
-    _expect(strategy in ("fine_grained", "naive"),
-            "executor.strategy must be fine_grained or naive")
+    _expect(strategy in STRATEGIES, "executor.strategy must be fine_grained or naive")
     n_workers = executor.get("n_workers", os.cpu_count() or 1)
     _expect(isinstance(n_workers, int) and n_workers >= 1,
             "executor.n_workers must be a positive integer")
@@ -141,26 +136,36 @@ def load_run_config(path: Path) -> RunConfig:
 
 def _mock_constants(raw: dict) -> MockCostConstants:
     overrides = raw.get("constants", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("flow constants must be an object")
     known = {f.name for f in dataclasses.fields(MockCostConstants)}
     unknown = set(overrides) - known
-    if unknown:
-        raise ConfigError(f"unknown mock constant(s): {', '.join(sorted(unknown))}")
+    _expect(not unknown, f"unknown mock constant(s): {', '.join(sorted(unknown))}")
     return dataclasses.replace(MockCostConstants(), **overrides)
 
 
 _MOCK_FLOWS = {"mock_synth": mock_synth_flow, "mock_impl": mock_impl_flow}
 
 
+# JSON type of each optional key of a flow entry
+_FLOW_KEYS = {"timeout_s": ((int, float), "a number"), "environment": (dict, "an object"),
+              "constants": (dict, "an object"), "executable": (str, "a string"),
+              "name": (str, "a string"), "command": (list, "a list of strings"),
+              "required_files": (list, "a list of strings")}
+
+
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
     """Instantiate every configured flow up front (missing tools fail fast)."""
     specs = []
     for i, raw in enumerate(raw_flows):
+        for key, (kind, what) in _FLOW_KEYS.items():
+            if key in raw:
+                value = raw[key]
+                _expect(isinstance(value, kind) and not isinstance(value, bool)
+                        and (kind is not list or all(isinstance(item, str) for item in value)),
+                        f"flows[{i}].{key} must be {what}")
         kind = raw["type"]
         timeout_s = float(raw.get("timeout_s", 3600.0))
         environment = tuple(sorted((k, str(v)) for k, v in raw.get("environment", {}).items()))
-        command = tuple(raw.get("command") or ())
+        command = tuple(raw.get("command", ()))
         if kind in _MOCK_FLOWS:
             specs.append(_MOCK_FLOWS[kind](timeout_s=timeout_s, constants=_mock_constants(raw)))
         elif kind in EXTERNAL_FLOWS:
@@ -180,20 +185,37 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
 
 def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
               n_workers: int, pin_cores: bool) -> tuple[dict, Timeline]:
-    """Run every flow over the collection on one shared clock.
+    """Run every design's chain of flows over the collection on one shared clock.
 
     Returns ({flow_name: {design_id: outcome}}, timeline).
     """
-    execute = execute_parallel_fine_grained if strategy == "fine_grained" \
-        else execute_parallel_naive
-    timeline = Timeline(n_workers)
-    origin = time.monotonic()
-    results: dict = {}
-    for spec in specs:
-        outcomes, timeline = execute(collection, spec, n_workers, pin_cores=pin_cores,
-                                     origin=origin, timeline=timeline)
-        results[spec.name] = {o.design_id: o for o in outcomes}
-    return results, timeline
+    chains, timeline = execute(collection, specs, n_workers, strategy, pin_cores)
+    return {spec.name: {chain[i].design_id: chain[i] for chain in chains}
+            for i, spec in enumerate(specs)}, timeline
+
+
+def _parse_report(path: Path, parse):
+    """The parsed report, or None when it is absent or malformed."""
+    try:
+        return parse(path.read_text())
+    except (FileNotFoundError, HlsForgeError):
+        return None
+
+
+def _extract_design(primary: ToolFlowSpec | None, version: str, outcomes: dict, design) -> int:
+    """Write one design's data_*.json files; returns how many were written."""
+    root = design_dir(design)
+    hls = _parse_report(root / agg.CSYNTH_REPORT_RELPATH, agg.parse_vitis_csynth_report)
+    bundle = agg.MetricsBundle(hls, _parse_report(root / agg.IMPL_REPORT_RELPATH,
+                                                  agg.parse_impl_report))
+    outcome = outcomes.get(design_identity(design))
+    if outcome is not None:
+        if primary.kind == KIND_EXTERNAL:
+            runtime = round(outcome.runtime_s, 6)
+        else:
+            runtime = simulated_runtime_s(hls.lut, hls.ff) if hls is not None else 0.0
+        bundle.execution = agg.ExecutionMeta(primary.name, version, runtime, outcome.status)
+    return len(agg.write_standard_json(root, bundle))
 
 
 def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
@@ -202,50 +224,36 @@ def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
 
     Execution metadata reflects the first configured flow (synthesis by
     convention); mock flows record their deterministic simulated runtime.
+    Designs are extracted on one forked process per available core.
     """
-    n_written = 0
     primary = specs[0] if specs else None
     version = tool_version(primary) if primary else ""
-    for dataset in collection.values():
-        for design in dataset.designs:
-            root = design_dir(design)
-            bundle = agg.MetricsBundle()
-            csynth_path = root / agg.CSYNTH_REPORT_RELPATH
-            if csynth_path.exists():
-                try:
-                    bundle.hls = agg.parse_vitis_csynth_report(csynth_path.read_text())
-                except HlsForgeError:
-                    bundle.hls = None
-            impl_path = root / agg.IMPL_REPORT_RELPATH
-            if impl_path.exists():
-                try:
-                    bundle.impl = agg.parse_impl_report(impl_path.read_text())
-                except HlsForgeError:
-                    bundle.impl = None
-            if primary is not None:
-                outcome = results.get(primary.name, {}).get(design_identity(design))
-                if outcome is not None:
-                    if primary.kind == KIND_EXTERNAL:
-                        runtime = round(outcome.runtime_s, 6)
-                    elif bundle.hls is not None:
-                        runtime = simulated_runtime_s(bundle.hls.lut, bundle.hls.ff)
-                    else:
-                        runtime = 0.0
-                    bundle.execution = agg.ExecutionMeta(
-                        tool_name=primary.name, tool_version=version,
-                        runtime_s=runtime, status=outcome.status)
-            written = agg.write_standard_json(root, bundle)
-            n_written += len(written)
-    return n_written
+    outcomes = results.get(primary.name, {}) if primary else {}
+    designs = [design for dataset in collection.values() for design in dataset.designs]
+    return sum(fork_map(partial(_extract_design, primary, version, outcomes), designs,
+                        local_workers()))
 
 
-def _print_flow_summary(results: dict) -> None:
+def _report_expansion(result) -> bool:
+    """Print an expansion's space sizes and failures; True when nothing failed."""
+    for (dataset_name, design_name), (space, lowered) in result.sizes.items():
+        print(f"{dataset_name}/{design_name}: space={space} sampled={lowered}")
+    for dataset_name, design_name, message in result.failures:
+        print(f"FAILED {dataset_name}/{design_name}: {message}", file=sys.stderr)
+    return not result.failures
+
+
+def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
+           n_workers: int, pin_cores: bool, work_dir: Path) -> Timeline:
+    """Run the flows, extract their reports, write timeline.json and print a summary."""
+    results, timeline = run_flows(collection, specs, strategy, n_workers, pin_cores)
+    extract_reports(collection, specs, results)
+    write_timeline(work_dir / "timeline.json", timeline)
     for flow_name, by_design in results.items():
-        counts: dict[str, int] = {}
-        for outcome in by_design.values():
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        counts = Counter(outcome.status for outcome in by_design.values())
         summary = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
         print(f"flow {flow_name}: {summary}")
+    return timeline
 
 
 def cmd_expand(args) -> int:
@@ -255,12 +263,7 @@ def cmd_expand(args) -> int:
     collection: DatasetCollection = {}
     for name, directory in config.datasets.items():
         collection[name] = load_dataset(Path(directory), name)
-    result = execute_frontend(collection, config.frontend, layout)
-    for (dataset_name, design_name), (space, lowered) in result.sizes.items():
-        print(f"{dataset_name}/{design_name}: space={space} sampled={lowered}")
-    for dataset_name, design_name, message in result.failures:
-        print(f"FAILED {dataset_name}/{design_name}: {message}", file=sys.stderr)
-    return 1 if result.failures else 0
+    return 0 if _report_expansion(execute_frontend(collection, config.frontend, layout)) else 1
 
 
 def cmd_build(args) -> int:
@@ -271,13 +274,10 @@ def cmd_build(args) -> int:
     if not collection:
         print(f"no post-frontend designs under {config.work_dir}", file=sys.stderr)
         return 4
-    results, timeline = run_flows(collection, specs, config.strategy, config.n_workers,
-                                  config.pin_cores)
-    extract_reports(collection, specs, results)
-    timeline_path = write_timeline(config.work_dir / "timeline.json", timeline)
-    _print_flow_summary(results)
+    timeline = _build(collection, specs, config.strategy, config.n_workers, config.pin_cores,
+                      config.work_dir)
     n_designs = sum(len(ds.designs) for ds in collection.values())
-    print(f"{n_designs} designs processed; timeline at {timeline_path}")
+    print(f"{n_designs} designs processed; timeline at {config.work_dir / 'timeline.json'}")
     if args.utilization_csv:
         with open(args.utilization_csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=("worker", "n_jobs", "busy_s", "span_s"),
@@ -349,12 +349,7 @@ def cmd_demo(args) -> int:
     sampled_source = load_dataset(fixtures, "demo")
     frontend = FrontendConfig(vendor="xilinx", random_sample=True,
                               n_samples=args.n_samples, seed=args.seed)
-    result = execute_frontend({"demo": sampled_source}, frontend, layout)
-    for (dataset_name, design_name), (space, lowered) in result.sizes.items():
-        print(f"{dataset_name}/{design_name}: space={space} sampled={lowered}")
-    if result.failures:
-        for dataset_name, design_name, message in result.failures:
-            print(f"FAILED {dataset_name}/{design_name}: {message}", file=sys.stderr)
+    if not _report_expansion(execute_frontend({"demo": sampled_source}, frontend, layout)):
         return 1
 
     base_source = load_dataset(fixtures, "demo_base")
@@ -363,12 +358,8 @@ def cmd_demo(args) -> int:
     print(f"demo_base: {len(base_designs)} all-defaults baselines lowered")
 
     collection = load_post_frontend(out_dir)
-    specs = [mock_synth_flow(), mock_impl_flow()]
-    results, timeline = run_flows(collection, specs, args.strategy, args.n_workers,
-                                  pin_cores=False)
-    extract_reports(collection, specs, results)
-    write_timeline(out_dir / "timeline.json", timeline)
-    _print_flow_summary(results)
+    _build(collection, [mock_synth_flow(), mock_impl_flow()], args.strategy, args.n_workers,
+           False, out_dir)
 
     table = agg.aggregate_collection(out_dir)
     csv_path = agg.export_tabular(table, out_dir / "aggregated.csv", format="csv")

@@ -53,6 +53,10 @@ class UnsupportedDirective(HlsForgeError):
     """Directive kind has no lowering for the requested vendor."""
 
 
+class IdCollision(HlsForgeError):
+    """Two different directive assignments of one design share a design id."""
+
+
 # -- tool flows ---------------------------------------------------------------
 
 class ManifestMissing(HlsForgeError):

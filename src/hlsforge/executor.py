@@ -1,25 +1,33 @@
-"""Parallel execution of tool flows over design collections.
+"""Parallel execution of tool-flow chains over design collections.
 
-Two strategies: fine_grained keeps one shared FIFO queue for every design of
-every dataset, so a worker that finishes early immediately pulls the next job
-regardless of which dataset it came from; naive runs the datasets one after
-another, draining the pool between them (the barrier real batch scripts tend
-to have). simulate_schedule replays either policy on given durations without
+The job unit is one design's chain: the configured flows, in order. Two
+strategies: fine_grained keeps one shared FIFO queue of chains for every design
+of every dataset, so a worker that finishes early immediately takes the next
+chain regardless of which dataset it came from; naive runs the datasets one
+after another, draining the workers between them (the barrier real batch
+scripts tend to have). Chains of in-process (mock) flows hold the interpreter
+lock, so with more than one worker they run on a pool of forked processes;
+chains with an external flow run on threads, which wait on their tools'
+processes. simulate_schedule replays either policy on given durations without
 running anything, for planning and for quantifying the gap.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
-import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .core import DatasetCollection, design_identity
-from .toolflows import FlowOutcome, ToolFlowSpec, run_flow
+from .pool import current_worker, fork_map, pin_to_core
+from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
+
+STRATEGIES = ("fine_grained", "naive")
 
 
 @dataclass(frozen=True)
@@ -48,60 +56,68 @@ class Timeline:
         return max((r.end_s for r in self.records), default=0.0)
 
 
-def _try_pin(worker_index: int) -> int | None:
-    """Best-effort affinity of the calling thread to one core."""
-    try:
-        n_cores = len(os.sched_getaffinity(0))
-        core = worker_index % n_cores
-        os.sched_setaffinity(0, {core})
-        return core
-    except (AttributeError, OSError):
-        return None
+def _run_chain(flows: tuple, origin: float, worker, design) -> tuple:
+    """Each flow on the design, in order: (worker(), [(outcome, start, end) per flow])."""
+    steps = []
+    for flow in flows:
+        start = time.monotonic() - origin
+        outcome = run_flow(flow, design)
+        steps.append((outcome, start, time.monotonic() - origin))
+    return worker(), steps
 
 
-def _run_pool(pairs: list, flow: ToolFlowSpec, n_workers: int, pin_cores: bool,
-              origin: float, timeline: Timeline) -> dict:
-    """Drain (job, design) pairs with n_workers threads; returns job -> outcome."""
-    queue = deque(pairs)
-    lock = threading.Lock()
-    outcomes: dict[Job, FlowOutcome] = {}
+def _run_threads(chain, designs: list, n_workers: int, pin_cores: bool) -> list:
+    """chain(worker, design) per design on n_workers threads, in order."""
+    from concurrent.futures import ThreadPoolExecutor  # only external chains need it
 
-    def worker(index: int) -> None:
-        if pin_cores and index not in timeline.pinning:
-            timeline.pinning[index] = _try_pin(index)
-        while True:
-            with lock:
-                if not queue:
-                    return
-                job, design = queue.popleft()
-            start = time.monotonic() - origin
-            outcome = run_flow(flow, design)
-            end = time.monotonic() - origin
-            with lock:
-                outcomes[job] = outcome
+    local, indices = threading.local(), itertools.count()
+
+    def start() -> None:
+        index = next(indices)
+        local.worker = index, pin_to_core(index) if pin_cores else None
+
+    with ThreadPoolExecutor(n_workers, "hlsforge-worker", start) as pool:
+        return list(pool.map(partial(chain, lambda: local.worker), designs))
+
+
+def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
+            strategy: str = "fine_grained", pin_cores: bool = False,
+            origin: float | None = None, timeline: Timeline | None = None
+            ) -> tuple[list[list[FlowOutcome]], Timeline]:
+    """Run every design's chain of flows on n_workers workers.
+
+    Returns each design's outcomes, one per flow, in job order (datasets in
+    collection order, then designs in dataset order), and the timeline, which
+    gains one record per (design, flow) on the clock that starts at origin.
+    """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    timeline = timeline if timeline is not None else Timeline(n_workers)
+    origin = origin if origin is not None else time.monotonic()
+    flows = tuple(flows)
+    jobs = [(name, design) for name, dataset in collection.items() for design in dataset.designs]
+    batches = [jobs] if strategy == "fine_grained" else \
+        [[job for job in jobs if job[0] == name] for name in collection]
+    in_processes = n_workers > 1 and all(flow.kind != KIND_EXTERNAL for flow in flows)
+    chain = partial(_run_chain, flows, origin)
+    chains = []
+    for batch in batches:  # naive: one batch per dataset, each drained before the next
+        designs = [design for _, design in batch]
+        if in_processes:
+            done = fork_map(partial(chain, current_worker), designs, n_workers, pin_cores)
+        else:
+            done = _run_threads(chain, designs, n_workers, pin_cores)
+        for (dataset_name, design), ((index, core), steps) in zip(batch, done):
+            if pin_cores:
+                timeline.pinning[index] = core
+            for flow, (outcome, start, end) in zip(flows, steps):
+                job = Job(design_identity(design), dataset_name, flow.name)
                 timeline.records.append(ExecutionRecord(job, index, start, end, outcome.status))
-
-    threads = [threading.Thread(target=worker, args=(i,), name=f"hlsforge-worker-{i}")
-               for i in range(n_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return outcomes
-
-
-def _jobs_for(collection: DatasetCollection, flow: ToolFlowSpec) -> list:
-    pairs = []
-    for dataset_name, dataset in collection.items():
-        for design in dataset.designs:
-            pairs.append((Job(design_identity(design), dataset_name, flow.name), design))
-    return pairs
-
-
-def _finish(pairs: list, outcomes: dict, timeline: Timeline) -> tuple[list, Timeline]:
+            chains.append([outcome for outcome, _, _ in steps])
     timeline.records.sort(key=lambda r: (r.start_s, r.worker_index))
-    ordered = [outcomes[job] for job, _ in pairs]
-    return ordered, timeline
+    return chains, timeline
 
 
 def execute_parallel_fine_grained(collection: DatasetCollection, flow: ToolFlowSpec,
@@ -109,48 +125,38 @@ def execute_parallel_fine_grained(collection: DatasetCollection, flow: ToolFlowS
                                   origin: float | None = None,
                                   timeline: Timeline | None = None
                                   ) -> tuple[list, Timeline]:
-    """One shared queue across all datasets; outcomes come back in job order."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    timeline = timeline if timeline is not None else Timeline(n_workers)
-    origin = origin if origin is not None else time.monotonic()
-    pairs = _jobs_for(collection, flow)
-    outcomes = _run_pool(pairs, flow, n_workers, pin_cores, origin, timeline)
-    return _finish(pairs, outcomes, timeline)
+    """One flow over one shared queue across all datasets; outcomes in job order."""
+    chains, timeline = execute(collection, [flow], n_workers, "fine_grained", pin_cores,
+                               origin, timeline)
+    return [outcome for (outcome,) in chains], timeline
 
 
 def execute_parallel_naive(collection: DatasetCollection, flow: ToolFlowSpec,
                            n_workers: int, pin_cores: bool = False,
                            origin: float | None = None,
                            timeline: Timeline | None = None) -> tuple[list, Timeline]:
-    """Per-dataset pools with a barrier between datasets (the baseline policy)."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    timeline = timeline if timeline is not None else Timeline(n_workers)
-    origin = origin if origin is not None else time.monotonic()
-    all_pairs = []
-    outcomes: dict = {}
-    for dataset_name, dataset in collection.items():
-        pairs = _jobs_for({dataset_name: dataset}, flow)
-        all_pairs.extend(pairs)
-        outcomes.update(_run_pool(pairs, flow, n_workers, pin_cores, origin, timeline))
-    return _finish(all_pairs, outcomes, timeline)
+    """One flow, dataset after dataset with a barrier between (the baseline policy)."""
+    chains, timeline = execute(collection, [flow], n_workers, "naive", pin_cores,
+                               origin, timeline)
+    return [outcome for (outcome,) in chains], timeline
 
 
 def simulate_schedule(durations: list[list[float]], n_workers: int,
                       strategy: str = "fine_grained") -> float:
-    """Makespan of greedy FIFO list scheduling; durations are per-dataset lists."""
+    """Makespan of greedy FIFO list scheduling; durations are per-dataset lists
+    of job (design chain) durations. Each job goes to the worker that frees up
+    first, the lowest index among ties."""
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if strategy not in ("fine_grained", "naive"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def greedy(jobs: list[float], start: float) -> float:
-        avail = [start] * n_workers
+        avail = [(start, index) for index in range(n_workers)]  # a heap already
         for duration in jobs:
-            index = min(range(n_workers), key=avail.__getitem__)
-            avail[index] += duration
-        return max(avail)
+            free_at, index = avail[0]
+            heapq.heapreplace(avail, (free_at + duration, index))
+        return max(free_at for free_at, _ in avail)
 
     if strategy == "naive":
         t = 0.0

@@ -10,7 +10,9 @@ entry per applied directive:
      "assignment": [{"group", "label", "line_index", "directive", "choice"}]}
 
 Fixed directives carry an empty choice. Design ids hash the canonical
-rendering, so the same assignment lowers to the same id for either vendor.
+rendering, so the same assignment lowers to the same id for either vendor. An
+id keeps only 8 hex digits, so two assignments can share one; the second is
+refused as an IdCollision and never overwrites the first.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import json
 import re
 import shutil
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .core import (
+    DESIGN_DATA_FILENAME,
     OPT_RENDERED_FILENAME,
     OPT_TEMPLATE_FILENAME,
     AbstractDesign,
@@ -36,6 +40,7 @@ from .core import (
 )
 from .errors import (
     AnchorNotFound,
+    IdCollision,
     LabelUnknown,
     ManifestMissing,
     MissingTemplate,
@@ -52,6 +57,7 @@ from .optdsl import (
     iter_assignments,
     parse_opt_template,
 )
+from .pool import fork_map, local_workers
 from .rng import Xoshiro256StarStar
 
 MANIFEST_FILENAME = "mock_manifest.json"
@@ -59,8 +65,9 @@ PROVENANCE_FILENAME = "data_intel_provenance.json"
 ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp", ".cl")
 
-# spaces up to this size are sampled by partial Fisher-Yates over an index
-# array; larger ones fall back to rejection so memory stays bounded
+# spaces up to this size are sampled by a partial Fisher-Yates shuffle of the
+# index range, larger ones by rejection; both keep O(k) state, and the limit
+# stays because it decides which draws a seed makes
 _SHUFFLE_LIMIT = 1 << 20
 
 
@@ -93,6 +100,7 @@ class FrontendResult:
     collection: DatasetCollection
     sizes: dict = field(default_factory=dict)  # (dataset, design) -> (space, lowered)
     failures: list = field(default_factory=list)  # (dataset, design, message)
+    collisions: int = 0  # points refused because another assignment holds their id
 
 
 def empty_assignment() -> DirectiveAssignment:
@@ -107,13 +115,17 @@ def sample_assignments(space: DesignSpace, k: int, seed: int) -> list[DirectiveA
     if k == size:
         return list(iter_assignments(space))
     rng = Xoshiro256StarStar(seed)
+    chosen: list[int] = []
     if size <= _SHUFFLE_LIMIT:
-        indices = list(range(size))
-        rng.shuffle_prefix(indices, k)
-        chosen = indices[:k]
+        # Fisher-Yates on the first k slots of range(size), the same draws as
+        # Xoshiro256StarStar.shuffle_prefix; only displaced slots are stored
+        moved: dict[int, int] = {}
+        for i in range(k):
+            j = i + rng.below(size - i)
+            chosen.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
     else:
         seen: set[int] = set()
-        chosen = []
         while len(chosen) < k:
             candidate = rng.below(size)
             if candidate not in seen:
@@ -144,33 +156,49 @@ def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> Non
 
 
 def _write_design_data(out_dir: Path, base_name: str, design_id: str, vendor: str,
-                       assignment: DirectiveAssignment) -> None:
-    _write_json(out_dir / "data_design.json", {
+                       entries: list[dict]) -> None:
+    _write_json(out_dir / DESIGN_DATA_FILENAME, {
         "base_name": base_name,
         "id": design_id,
         "vendor": vendor,
-        "assignment": _assignment_entries(assignment),
+        "assignment": entries,
     })
 
 
+def _out_dir(layout: WorkspaceLayout, design: AbstractDesign, design_id: str) -> Path:
+    return layout.post_frontend_dir(design.dataset_name) / design_id
+
+
 def _lowering_copy(design: AbstractDesign, assignment: DirectiveAssignment,
-                   layout: WorkspaceLayout) -> tuple[str, Path]:
-    """The design's id and a fresh copy of its sources, minus the template."""
+                   layout: WorkspaceLayout) -> tuple[str, Path, list[dict]]:
+    """The design's id, a fresh copy of its sources minus the template, and the
+    assignment's data_design.json entries.
+
+    Raises IdCollision, before touching anything, when the id's directory holds
+    a data_design.json with a different assignment.
+    """
     if not design.frontend_ready:
         raise MissingTemplate(f"design {design.name!r} has no {OPT_TEMPLATE_FILENAME}")
     design_id = concrete_design_id(design.name, assignment)
-    out_dir = layout.post_frontend_dir(design.dataset_name) / design_id
+    out_dir = _out_dir(layout, design, design_id)
+    entries = _assignment_entries(assignment)
+    try:
+        held = json.loads((out_dir / DESIGN_DATA_FILENAME).read_text())["assignment"]
+    except (FileNotFoundError, ValueError, KeyError):  # nothing readable to keep
+        held = entries
+    if held != entries:
+        raise IdCollision(f"{out_dir} already holds another assignment of {design.name!r}")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
-    return design_id, out_dir
+    return design_id, out_dir, entries
 
 
 def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
                  layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources (minus the template), write canonical opt.tcl and design data."""
-    design_id, out_dir = _lowering_copy(design, assignment, layout)
+    design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
     (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
-    _write_design_data(out_dir, design.name, design_id, "xilinx", assignment)
+    _write_design_data(out_dir, design.name, design_id, "xilinx", entries)
     return ConcreteDesign(design_id, design.name, out_dir, "xilinx", assignment.canonicalized())
 
 
@@ -214,7 +242,7 @@ def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
                 layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources and inject annotations after each label's anchor comment."""
-    design_id, out_dir = _lowering_copy(design, assignment, layout)
+    design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
 
     canon = assignment.canonicalized()
     by_label: dict[str, list[IntelAnnotation]] = {}
@@ -258,7 +286,7 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         missing = ", ".join(sorted(pending))
         raise AnchorNotFound(f"no anchor comment found for label(s): {missing}")
 
-    _write_design_data(out_dir, design.name, design_id, "intel", assignment)
+    _write_design_data(out_dir, design.name, design_id, "intel", entries)
     _write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
     return ConcreteDesign(design_id, design.name, out_dir, "intel", canon)
 
@@ -285,40 +313,113 @@ def _pass_through(design, layout: WorkspaceLayout):
     return AbstractDesign(design.name, out_dir.parent.name, out_dir, design.files)
 
 
+@dataclass
+class _Base:
+    """One design's share of an expansion."""
+
+    dataset_name: str
+    design: object
+    space_size: int = 1
+    points: list = field(default_factory=list)  # (assignment, design id) to lower
+    collisions: list = field(default_factory=list)  # failure messages of refused points
+    error: str = ""  # a failure that drops the whole design
+    lowered: list = field(default_factory=list)
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sample(design: AbstractDesign, config: FrontendConfig) -> tuple[int, list]:
+    """The design's space size and the assignments to lower."""
+    template = parse_opt_template((design.source_dir / OPT_TEMPLATE_FILENAME).read_text())
+    space = enumerate_design_space(template)
+    if config.random_sample:
+        seed = _design_seed(config.seed, design.name)
+        return space.size, sample_assignments(space, config.n_samples, seed)
+    return space.size, list(iter_assignments(space))
+
+
+def _lower_point(layout: WorkspaceLayout, vendor: str, point: tuple) -> tuple | None:
+    """Lower one (design, assignment, id): None, or (is an id collision, message).
+
+    A point that fails after its copy began leaves no directory behind, so a
+    later build cannot pick up a half-lowered design.
+    """
+    design, assignment, design_id = point
+    try:
+        _lower(design, assignment, layout, vendor)
+    except IdCollision as exc:
+        return True, _failure(exc)
+    except Exception as exc:  # per-design isolation: record and move on
+        shutil.rmtree(_out_dir(layout, design, design_id), ignore_errors=True)
+        return False, _failure(exc)
+    return None
+
+
 def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
                      layout: WorkspaceLayout) -> FrontendResult:
     """Expand every frontend-ready design; copy the rest through unchanged.
 
     Per-design failures are collected, not fatal. Sampling seeds are derived
     per design (config seed xor a hash of the design name) so a fixed config
-    seed reproduces the whole tree byte for byte.
+    seed reproduces the whole tree byte for byte. Every id is computed here
+    before any point is lowered; the points are then lowered on one forked
+    process per available core. A point whose id another assignment holds, in
+    this run or in an existing data_design.json, fails alone as an IdCollision.
     """
     layout.ensure()
     result = FrontendResult(collection={})
+    bases: list[_Base] = []
+    claimed: dict = {}  # (dataset, design id) -> canonical selections, this run
     for dataset_name, dataset in collection.items():
-        out_name = layout.post_frontend_dir(dataset_name).name
-        produced: list = []
         for design in dataset.designs:
+            base = _Base(dataset_name, design)
+            bases.append(base)
             if not isinstance(design, AbstractDesign) or not design.frontend_ready:
-                produced.append(_pass_through(design, layout))
-                result.sizes[(dataset_name, design_identity(design))] = (1, 1)
+                base.lowered.append(_pass_through(design, layout))
                 continue
             try:
-                template = parse_opt_template(
-                    (design.source_dir / OPT_TEMPLATE_FILENAME).read_text())
-                space = enumerate_design_space(template)
-                if config.random_sample:
-                    assignments = sample_assignments(
-                        space, config.n_samples, _design_seed(config.seed, design.name))
-                else:
-                    assignments = list(iter_assignments(space))
-                lowered = [_lower(design, a, layout, config.vendor) for a in assignments]
+                base.space_size, assignments = _sample(design, config)
             except Exception as exc:  # per-design isolation: record and move on
-                result.failures.append((dataset_name, design.name, f"{type(exc).__name__}: {exc}"))
-                result.sizes[(dataset_name, design.name)] = (0, 0)
+                base.error = _failure(exc)
                 continue
-            produced.extend(lowered)
-            result.sizes[(dataset_name, design.name)] = (space.size, len(lowered))
-        if produced:
-            result.collection[out_name] = DesignDataset(out_name, produced)
+            for assignment in assignments:
+                design_id = concrete_design_id(design.name, assignment)
+                selections = assignment.canonicalized().selections
+                if (dataset_name, design_id) not in claimed:
+                    claimed[(dataset_name, design_id)] = selections
+                    base.points.append((assignment, design_id))
+                elif claimed[(dataset_name, design_id)] != selections:  # equal: the same design
+                    base.collisions.append(_failure(IdCollision(
+                        f"{design_id} is taken by another assignment of {design.name!r}")))
+
+    points = [(base.design, *point) for base in bases for point in base.points]
+    outcomes = iter(fork_map(partial(_lower_point, layout, config.vendor), points,
+                             local_workers()))
+    produced: dict[str, list] = {}
+    for base in bases:
+        key = (base.dataset_name, design_identity(base.design))
+        for (assignment, design_id), failed in [(point, next(outcomes)) for point in base.points]:
+            if failed is None:
+                base.lowered.append(ConcreteDesign(
+                    design_id, base.design.name, _out_dir(layout, base.design, design_id),
+                    config.vendor, assignment.canonicalized()))
+            elif failed[0]:
+                base.collisions.append(failed[1])
+            else:
+                base.error = base.error or failed[1]
+        result.collisions += len(base.collisions)
+        result.failures.extend((base.dataset_name, key[1], message) for message in base.collisions)
+        if base.error:  # the design fails whole: none of its points stays on disk
+            for design in base.lowered:
+                shutil.rmtree(design.dir)
+            result.failures.append((base.dataset_name, key[1], base.error))
+            result.sizes[key] = (0, 0)
+            continue
+        out_name = layout.post_frontend_dir(base.dataset_name).name
+        produced.setdefault(out_name, []).extend(base.lowered)
+        result.sizes[key] = (base.space_size, len(base.lowered))
+    result.collection = {name: DesignDataset(name, designs)
+                         for name, designs in produced.items() if designs}
     return result

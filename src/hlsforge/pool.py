@@ -1,0 +1,82 @@
+"""One pool of forked worker processes for per-design, in-process work.
+
+Lowering, mock-flow chains and report extraction are pure Python and hold the
+interpreter lock, so threads cannot overlap them; processes can. ``fork_map``
+starts a pool for one call and shuts it down before returning, so the
+children's CPU time is accounted to the caller and no worker outlives the
+stage. The workers are forked, not spawned: the function and the items reach
+them through the fork itself, so only item indices are sent and only results
+come back. Call it where the calling process runs no other thread; the pool
+forks all its workers before it starts its own manager thread.
+"""
+
+from __future__ import annotations
+
+import os
+
+# chunks per worker in one map: enough to even out the tail, few enough that
+# the per-chunk round trip stays small next to the work in it
+CHUNKS_PER_WORKER = 32
+
+# in a pool process: the mapped function, the items and this worker's
+# (index, pinned core); set once by _start_worker
+_worker_state: dict = {}
+
+
+def local_workers() -> int:
+    """Cores this process may run on: the worker count for lowering and extraction."""
+    return len(os.sched_getaffinity(0))
+
+
+def pin_to_core(worker_index: int) -> int | None:
+    """Best-effort affinity of the calling thread to one core."""
+    try:
+        n_cores = len(os.sched_getaffinity(0))
+        core = worker_index % n_cores
+        os.sched_setaffinity(0, {core})
+        return core
+    except (AttributeError, OSError):
+        return None
+
+
+def current_worker() -> tuple[int, int | None]:
+    """(index, pinned core) of the pool process running this; (0, None) outside a pool."""
+    return _worker_state.get("worker", (0, None))
+
+
+def _start_worker(fn, items, indices, pin_cores: bool) -> None:
+    index = indices.get()
+    _worker_state.update(fn=fn, items=items,
+                         worker=(index, pin_to_core(index) if pin_cores else None))
+
+
+def _call(position: int):
+    return _worker_state["fn"](_worker_state["items"][position])
+
+
+def fork_map(fn, items: list, n_workers: int, pin_cores: bool = False) -> list:
+    """[fn(item) for item in items], in order, on n_workers forked processes.
+
+    With one worker or at most one item it runs in the calling process. An
+    exception fn raises propagates, so fn should turn per-item failures into
+    results.
+    """
+    n_workers = min(n_workers, len(items))
+    if n_workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: these take 20-40 ms to import, against about 120 ms for
+    # the whole package, and only a pool needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    indices = context.SimpleQueue()
+    try:
+        for index in range(n_workers):
+            indices.put(index)
+        chunksize = max(1, len(items) // (n_workers * CHUNKS_PER_WORKER))
+        with ProcessPoolExecutor(n_workers, mp_context=context, initializer=_start_worker,
+                                 initargs=(fn, items, indices, pin_cores)) as pool:
+            return list(pool.map(_call, range(len(items)), chunksize=chunksize))
+    finally:
+        indices.close()

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import make_design
+from conftest import make_design, tree_bytes
 from hlsforge.aggregate import AggregatedRow, AggregatedTable, export_tabular
 from hlsforge.cli import WORK_DIR_ENV, build_flow_specs, load_run_config, main
 from hlsforge.errors import ConfigError, ExecutableNotFound
@@ -222,6 +222,16 @@ def test_build_rejects_unknown_flow_before_touching_work(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flow", [
+    {"type": "custom", "command": ["sh", "-c", "true"], "environment": ["A=1"]},
+    {"type": "custom", "command": "sh"},
+])
+def test_build_rejects_malformed_flow_entries(tmp_path, capsys, flow):
+    config = write_config(tmp_path, flows=[flow])
+    assert main(["build", "--config", str(config)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_build_missing_executable_is_environment_error(tmp_path, capsys):
     config = write_config(tmp_path,
                           flows=[{"type": "custom", "command": ["definitely-not-a-tool-xyz"]}])
@@ -261,3 +271,13 @@ def test_demo_smoke(tmp_path, capsys):
     with open(out_dir / "aggregated.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 24  # 12 designs sampled once each plus 12 baselines
+
+
+def test_demo_tree_is_the_same_for_any_worker_count(tmp_path, capsys):
+    trees = []
+    for n_workers in ("1", "4"):
+        out_dir = tmp_path / f"demo{n_workers}"
+        assert main(["demo", "--out", str(out_dir), "--n-workers", n_workers]) == 0
+        (out_dir / "timeline.json").unlink()
+        trees.append(tree_bytes(out_dir))
+    assert trees[0] == trees[1]

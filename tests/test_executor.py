@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
+import hlsforge.executor as executor
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.executor import (
     Timeline,
+    execute,
     execute_parallel_fine_grained,
     execute_parallel_naive,
     simulate_schedule,
@@ -17,7 +20,7 @@ from hlsforge.executor import (
     write_timeline,
 )
 from hlsforge.frontends import FrontendConfig, execute_frontend
-from hlsforge.toolflows import STATUS_OK, mock_synth_flow
+from hlsforge.toolflows import STATUS_OK, mock_impl_flow, mock_synth_flow, run_flow
 from conftest import make_design
 
 
@@ -68,6 +71,37 @@ def test_workers_never_overlap(tmp_path):
         records.sort(key=lambda r: r.start_s)
         for earlier, later in zip(records, records[1:]):
             assert later.start_s >= earlier.end_s
+
+
+def test_mock_chains_run_in_child_processes_without_overlap(tmp_path, monkeypatch):
+    def run_and_note_pid(flow, design):
+        with open(design.dir / "pids.txt", "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return run_flow(flow, design)
+
+    monkeypatch.setattr(executor, "run_flow", run_and_note_pid)
+    collection = lowered_collection(tmp_path, names=("a", "b", "c"))
+    flows = [mock_synth_flow(), mock_impl_flow()]
+    chains, timeline = execute(collection, flows, 2)
+    assert [[o.flow_name for o in chain] for chain in chains] == [[f.name for f in flows]] * 18
+    assert all(o.status == STATUS_OK for chain in chains for o in chain)
+    pids = {line for ds in collection.values() for d in ds.designs
+            for line in (d.dir / "pids.txt").read_text().split()}
+    assert str(os.getpid()) not in pids and pids
+    write_timeline(tmp_path / "timeline.json", timeline)
+    by_worker: dict[int, list] = {}
+    for entry in json.loads((tmp_path / "timeline.json").read_text()):
+        by_worker.setdefault(entry["worker"], []).append(entry)
+    assert set(by_worker) <= {0, 1} and sum(map(len, by_worker.values())) == 36
+    for entries in by_worker.values():
+        entries.sort(key=lambda e: e["start_s"])
+        for earlier, later in zip(entries, entries[1:]):
+            assert later["start_s"] >= earlier["end_s"]
+    for entries in by_worker.values():  # a chain stays on its worker: synth, then impl
+        ends = {e["design_id"]: e["end_s"] for e in entries if e["flow"] == "mock_hls_synth"}
+        for e in entries:
+            if e["flow"] == "mock_impl":
+                assert e["start_s"] >= ends[e["design_id"]]
 
 
 def test_naive_barrier_between_datasets(tmp_path):
@@ -144,6 +178,31 @@ def test_simulate_fine_never_beats_naive_randomly():
         fine = simulate_schedule(durations, workers, "fine_grained")
         naive = simulate_schedule(durations, workers, "naive")
         assert fine <= naive + 1e-9
+
+
+def test_simulate_matches_the_linear_scan_reference():
+    def reference(durations, n_workers, strategy):
+        def greedy(jobs, start):
+            avail = [start] * n_workers
+            for duration in jobs:
+                index = min(range(n_workers), key=avail.__getitem__)
+                avail[index] += duration
+            return max(avail)
+        if strategy == "naive":
+            t = 0.0
+            for jobs in durations:
+                t = greedy(jobs, t)
+            return t
+        return greedy([d for jobs in durations for d in jobs], 0.0)
+
+    rng = random.Random(11)
+    for _ in range(200):
+        durations = [[rng.choice((0.5, 1.0, 1.5, rng.uniform(0.1, 4.0)))
+                      for _ in range(rng.randint(1, 10))] for _ in range(rng.randint(1, 4))]
+        workers = rng.randint(1, 5)
+        for strategy in ("fine_grained", "naive"):
+            assert simulate_schedule(durations, workers, strategy) \
+                == reference(durations, workers, strategy)
 
 
 def test_simulate_validation():

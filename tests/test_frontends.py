@@ -13,7 +13,15 @@ from hlsforge.core import (
     load_dataset,
     load_post_frontend,
 )
-from hlsforge.errors import AnchorNotFound, LabelUnknown, ManifestMissing, MissingTemplate, UnsupportedDirective
+import hlsforge.frontends as frontends
+from hlsforge.errors import (
+    AnchorNotFound,
+    IdCollision,
+    LabelUnknown,
+    ManifestMissing,
+    MissingTemplate,
+    UnsupportedDirective,
+)
 from hlsforge.frontends import (
     FrontendConfig,
     empty_assignment,
@@ -25,12 +33,21 @@ from hlsforge.frontends import (
 )
 from hlsforge.optdsl import (
     DirectiveLine,
+    assignment_at,
     canonical_text,
     enumerate_design_space,
     iter_assignments,
     parse_opt_template,
 )
-from conftest import SIMPLE_MANIFEST, SIMPLE_TEMPLATE, make_design, tree_bytes
+from hlsforge.rng import Xoshiro256StarStar
+from conftest import (
+    REFERENCE_TEMPLATE,
+    SIMPLE_MANIFEST,
+    SIMPLE_SOURCE,
+    SIMPLE_TEMPLATE,
+    make_design,
+    tree_bytes,
+)
 
 PARTITION_TEMPLATE = """\
 mem_opt,1,1
@@ -75,6 +92,21 @@ def test_sample_rejection_path_for_huge_spaces():
     again = sample_assignments(space, 5, seed=11)
     assert sampled == again
     assert len({canonical_text(a) for a in sampled}) == 5
+
+
+def test_sample_matches_a_dense_shuffle_of_the_index_range():
+    rows = [f"{i},lp{i},,unroll,[1 2 3 4 5 6 7 8]" for i in range(6)]
+    text = "g,6,1\n" + "\n".join(rows) + "\nset_directive_unroll -factor [f] t/[name]\n"
+    spaces = [enumerate_design_space(parse_opt_template(t))
+              for t in (SIMPLE_TEMPLATE, REFERENCE_TEMPLATE, text)]
+    assert [space.size for space in spaces] == [6, 32, 8**6]
+    for space in spaces:
+        for k in (1, 5, min(space.size - 1, 50)):
+            for seed in range(4):
+                indices = list(range(space.size))
+                Xoshiro256StarStar(seed).shuffle_prefix(indices, k)
+                dense = [assignment_at(space, i) for i in indices[:k]]
+                assert sample_assignments(space, k, seed) == dense, (space.size, k, seed)
 
 
 def test_empty_assignment_renders_bare_newline():
@@ -318,3 +350,71 @@ def test_frontend_config_validation():
     with pytest.raises(ValueError):
         FrontendConfig(n_samples=0)
     FrontendConfig(random_sample=False, n_samples=0)  # exhaustive mode ignores n_samples
+
+
+def constant_ids(monkeypatch):
+    """Give every point of a design the same id, as a truncated-digest collision would."""
+    monkeypatch.setattr(frontends, "concrete_design_id", lambda base, assignment: f"{base}__0000cafe")
+
+
+def test_colliding_ids_fail_alone_and_overwrite_nothing(tmp_path, monkeypatch):
+    constant_ids(monkeypatch)
+    root = tmp_path / "ds"
+    make_design(root, "d")
+    work = tmp_path / "w"
+    result = execute_frontend({"ds": load_dataset(root)}, FrontendConfig(n_samples=3, seed=2),
+                              WorkspaceLayout(work))
+    assert result.collisions == 2
+    assert [f[:2] for f in result.failures] == [("ds", "d"), ("ds", "d")]
+    assert all(f[2].startswith("IdCollision: ") for f in result.failures)
+    assert result.sizes[("ds", "d")] == (6, 1)
+    [design] = result.collection["ds__post_frontend"].designs
+    first = sample_assignments(simple_space(), 3, frontends._design_seed(2, "d"))[0]
+    assert design.assignment == first.canonicalized()
+    assert (design.dir / "opt.tcl").read_text() == canonical_text(first)
+
+
+def test_an_id_held_on_disk_by_another_assignment_is_refused(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    make_design(root, "d")
+    design = load_dataset(root).designs[0]
+    layout = WorkspaceLayout(tmp_path / "w")
+    *_, last = iter_assignments(simple_space())
+    kept = lower_xilinx(design, last, layout)
+    before = tree_bytes(kept.dir)
+    lower_xilinx(design, last, layout)  # the same assignment lowers again in place
+
+    monkeypatch.setattr(frontends, "concrete_design_id", lambda base, assignment: kept.id)
+    with pytest.raises(IdCollision):
+        lower_xilinx(design, next(iter_assignments(simple_space())), layout)
+    result = execute_frontend({"ds": load_dataset(root)}, FrontendConfig(random_sample=False),
+                              layout)
+    # the first point collides with the disk, the other five with the first
+    assert result.collisions == 6
+    assert result.sizes[("ds", "d")] == (6, 0)
+    assert tree_bytes(kept.dir) == before
+
+
+def test_a_lowering_error_in_the_pool_leaves_other_bases_lowered(tmp_path, monkeypatch):
+    monkeypatch.setattr(frontends, "local_workers", lambda: 2)
+    # half of m's points use a directive intel cannot lower
+    mixed = ("g,3,3\n0,lp1,pipeline,unroll,[1 2]\n1,lp2,,unroll,[1 2]\n"
+             "2,lp2,dataflow,unroll,[1 2]\nset_directive_unroll -factor [factor] top/[name]\n"
+             "set_directive_pipeline top/[name]\nset_directive_dataflow top/[name]\n")
+    root = tmp_path / "ds"
+    make_design(root, "a")
+    make_design(root, "m", template=mixed)
+    make_design(root, "z")
+    work = tmp_path / "w"
+    result = execute_frontend({"ds": load_dataset(root)},
+                              FrontendConfig(vendor="intel", random_sample=False),
+                              WorkspaceLayout(work))
+    assert [f[1] for f in result.failures] == ["m"]
+    assert "UnsupportedDirective" in result.failures[0][2]
+    assert result.sizes == {("ds", "a"): (6, 6), ("ds", "m"): (0, 0), ("ds", "z"): (6, 6)}
+    designs = result.collection["ds__post_frontend"].designs
+    assert [d.base_name for d in designs] == ["a"] * 6 + ["z"] * 6
+    for design in designs:
+        assert "#pragma unroll" in (design.dir / f"{design.base_name}.c").read_text()
+    assert sorted(p.name.split("__")[0] for p in (work / "ds__post_frontend").iterdir()) \
+        == ["a"] * 6 + ["z"] * 6
