@@ -3,8 +3,8 @@
 Per-design metrics live next to the design as data_hls.json, data_impl.json
 and data_execution.json. Aggregation walks every ``*__post_frontend`` tree
 under a work directory and flattens those files into a fixed 30-column table;
-a section whose file is absent (tool skipped, timed out, failed) leaves its
-columns null. Failures are data: they keep their row.
+a section whose file is absent (tool skipped, timed out, failed) or
+unreadable leaves its columns null. Failures are data: they keep their row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
 
-from .core import DESIGN_DATA_FILENAME, POST_FRONTEND_SUFFIX
+from .core import list_post_frontend, read_design_meta, walk_files
 from .errors import (
     MalformedReport,
     MalformedSpec,
@@ -228,15 +228,18 @@ def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
 
 
 def _read_section(design_dir: Path, filename: str, cls):
-    path = design_dir / filename
-    if not path.exists():
-        return None
+    """The section stored in filename, or None when the file is absent or
+    corrupted: one bad sidecar leaves its section null rather than sink the table."""
     try:
-        payload = json.loads(path.read_text())
-        payload.pop("schema_version", None)
+        payload = json.loads((design_dir / filename).read_text())
+    except (FileNotFoundError, ValueError):  # absent, undecodable or invalid JSON
+        return None
+    if not isinstance(payload, dict):
+        return None
+    payload.pop("schema_version", None)
+    try:
         return cls(**payload)
-    except (json.JSONDecodeError, TypeError, ValueError):
-        # corrupted sidecar: treat the section as absent rather than sink the table
+    except TypeError:  # fields missing or unknown
         return None
 
 
@@ -247,6 +250,8 @@ def read_standard_json(design_dir: Path) -> MetricsBundle:
 
 
 def _assignment_columns(entries: list[dict]) -> dict:
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise MalformedReport("assignment must be a list of objects")
     parts = []
     max_unroll = 1
     n_unrolled = 0
@@ -269,25 +274,28 @@ def _assignment_columns(entries: list[dict]) -> dict:
             "max_unroll": max_unroll, "n_unrolled": n_unrolled, "n_partitioned": n_partitioned}
 
 
+def _design_columns(design_dir: Path) -> dict:
+    """Identity, vendor and assignment columns from data_design.json.
+
+    When the file is absent or unreadable, the id and base name come from the
+    directory name and the other columns stay null.
+    """
+    try:
+        meta = read_design_meta(design_dir)
+        if meta is not None:
+            return {"design_id": meta.get("id", design_dir.name),
+                    "base_name": meta.get("base_name", design_dir.name.split("__")[0]),
+                    "vendor": meta.get("vendor"),
+                    **_assignment_columns(meta.get("assignment", []))}
+    except (MalformedReport, KeyError, TypeError):
+        pass
+    return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
+
+
 def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
-    """Flatten one design directory into a table row; absent files leave nulls."""
+    """Flatten one design directory into a table row; absent or unreadable files leave nulls."""
     design_dir = Path(design_dir)
-    row = AggregatedRow(dataset=dataset)
-    data_path = design_dir / DESIGN_DATA_FILENAME
-    if data_path.exists():
-        try:
-            meta = json.loads(data_path.read_text())
-            row.design_id = meta.get("id", design_dir.name)
-            row.base_name = meta.get("base_name", design_dir.name.split("__")[0])
-            row.vendor = meta.get("vendor")
-            for key, value in _assignment_columns(meta.get("assignment", [])).items():
-                setattr(row, key, value)
-        except (json.JSONDecodeError, KeyError):
-            row.design_id = design_dir.name
-            row.base_name = design_dir.name.split("__")[0]
-    else:
-        row.design_id = design_dir.name
-        row.base_name = design_dir.name.split("__")[0]
+    row = AggregatedRow(dataset=dataset, **_design_columns(design_dir))
     bundle = read_standard_json(design_dir)
     for attr, columns in _ROW_FILL:
         section = getattr(bundle, attr)
@@ -299,16 +307,9 @@ def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
 
 def aggregate_collection(work_dir: Path) -> AggregatedTable:
     """One row per design directory under every *__post_frontend tree, sorted."""
-    work_dir = Path(work_dir)
-    if not work_dir.is_dir():
-        raise MissingDirectory(f"work directory {work_dir} does not exist")
-    rows = []
-    for pf_dir in sorted(work_dir.glob(f"*{POST_FRONTEND_SUFFIX}")):
-        if not pf_dir.is_dir():
-            continue
-        for sub in sorted(p for p in pf_dir.iterdir() if p.is_dir()):
-            rows.append(row_from_design_dir(sub, dataset=pf_dir.name))
-    return AggregatedTable(rows)
+    return AggregatedTable([row_from_design_dir(sub, dataset=name)
+                            for name, subs in list_post_frontend(work_dir).items()
+                            for sub in subs])
 
 
 def _cell(value) -> str:
@@ -469,30 +470,30 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
 _SOURCE_ARCHIVE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp", ".cl", ".tcl")
 
 
+def _archived(rel: str, include_artifacts: bool) -> bool:
+    """Whether the archive holds the work-tree file at rel: the timeline, the
+    data_*.json files, opt.tcl and sources; files under hls_prj/ only with
+    include_artifacts."""
+    parts = rel.split("/")
+    if "hls_prj" in parts:
+        return include_artifacts
+    name = parts[-1]
+    return (name == "timeline.json" or name == "opt.tcl"
+            or (name.startswith("data_") and name.endswith(".json"))
+            # as in Path.suffix, a leading dot starts no suffix: ".c" has none
+            or name[1:].endswith(_SOURCE_ARCHIVE_SUFFIXES))
+
+
 def archive_dataset(work_dir: Path, out_path: Path, include_artifacts: bool = False) -> Path:
     """Zip the work tree's data files deterministically (sorted, zeroed timestamps)."""
     work_dir = Path(work_dir)
     if not work_dir.is_dir():
         raise MissingDirectory(f"work directory {work_dir} does not exist")
-    members = []
-    for path in work_dir.rglob("*"):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(work_dir).as_posix()
-        name = path.name
-        in_artifacts = "hls_prj" in path.relative_to(work_dir).parts
-        wanted = (name == "timeline.json"
-                  or (name.startswith("data_") and name.endswith(".json"))
-                  or name == "opt.tcl"
-                  or path.suffix in _SOURCE_ARCHIVE_SUFFIXES)
-        if in_artifacts:
-            wanted = include_artifacts
-        if wanted:
-            members.append(rel)
+    members = sorted(rel for rel in walk_files(work_dir) if _archived(rel, include_artifacts))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(out_path, "w") as zf:
-        for rel in sorted(members):
+        for rel in members:
             info = zipfile.ZipInfo(rel, date_time=(1980, 1, 1, 0, 0, 0))
             info.external_attr = 0o644 << 16
             info.create_system = 3

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyDataset, MissingDirectory
+from .errors import EmptyDataset, MalformedReport, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
 
 OPT_TEMPLATE_FILENAME = "opt_template.tcl"
@@ -100,19 +102,49 @@ def design_dir(design) -> Path:
     return design.dir if isinstance(design, ConcreteDesign) else design.source_dir
 
 
+def walk_files(root: Path) -> Iterator[str]:
+    """Relative POSIX paths of the regular files under root, in no set order.
+
+    One os.scandir per directory, holding only the directories still to
+    visit. As with Path.rglob and Path.is_file: a symlink to a file is a file,
+    a symlink to a directory is not descended, broken or looping links are
+    skipped, and so is a directory that cannot be listed.
+    """
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        try:
+            entries = os.scandir(os.path.join(root, prefix))
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
+            continue
+        with entries:
+            for entry in entries:
+                rel = prefix + entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(rel + "/")
+                    continue
+                try:
+                    is_file = entry.is_file()
+                except OSError:  # a symlink loop, which Path.is_file also skips
+                    continue
+                if is_file:
+                    yield rel
+
+
 def list_design_files(root: Path) -> tuple[str, ...]:
     """Relative paths of regular files under root, sorted; hidden and *.log skipped."""
-    out = []
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(root)
-        if any(part.startswith(".") for part in rel.parts):
-            continue
-        if rel.suffix == ".log":
-            continue
-        out.append(rel.as_posix())
-    return tuple(out)
+    # sorted part by part, as sorted(Path) orders them
+    return tuple(sorted((rel for rel in walk_files(root)
+                         if not rel.startswith(".") and "/." not in rel
+                         and not rel.endswith(".log")),
+                        key=lambda rel: rel.split("/")))
+
+
+def _subdirs(directory: Path) -> list[Path]:
+    """The directories in directory (symlinks to directories too), sorted by name."""
+    with os.scandir(directory) as entries:
+        names = sorted(entry.name for entry in entries if entry.is_dir())
+    return [directory / name for name in names]
 
 
 def load_dataset(dataset_dir: Path, name: str | None = None) -> DesignDataset:
@@ -122,7 +154,7 @@ def load_dataset(dataset_dir: Path, name: str | None = None) -> DesignDataset:
         raise MissingDirectory(f"dataset directory {dataset_dir} does not exist")
     name = name if name is not None else dataset_dir.name
     designs = []
-    for sub in sorted(p for p in dataset_dir.iterdir() if p.is_dir()):
+    for sub in _subdirs(dataset_dir):
         if sub.name.startswith("."):
             continue
         if not _NAME_RE.match(sub.name):
@@ -145,29 +177,57 @@ def validate_design_files(design, required: tuple[str, ...] | list[str]) -> list
     return [rel for rel in required if not (root / rel).exists()]
 
 
+def list_post_frontend(work_dir: Path) -> dict[str, list[Path]]:
+    """Design directories of each <work_dir>/*__post_frontend directory.
+
+    Keys are the post-frontend directory names; keys and directories are
+    sorted by name, and symlinks to directories count as directories.
+    """
+    work_dir = Path(work_dir)
+    if not work_dir.is_dir():
+        raise MissingDirectory(f"work directory {work_dir} does not exist")
+    return {pf_dir.name: _subdirs(pf_dir) for pf_dir in _subdirs(work_dir)
+            if pf_dir.name.endswith(POST_FRONTEND_SUFFIX)}
+
+
+def read_design_meta(design_dir: Path) -> dict | None:
+    """The design's data_design.json object, or None when there is none.
+
+    Raises MalformedReport naming the file when it does not hold a JSON object.
+    """
+    path = Path(design_dir) / DESIGN_DATA_FILENAME
+    try:
+        meta = json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise MalformedReport(f"{path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise MalformedReport(f"{path}: not a JSON object")
+    return meta
+
+
 def load_post_frontend(work_dir: Path) -> DatasetCollection:
     """Rebuild a collection from <work_dir>/*__post_frontend trees.
 
     Directories with a data_design.json come back as ConcreteDesign (without
     the in-memory assignment); anything else is a pass-through AbstractDesign.
+    A data_design.json that is not an object with an id, base_name and vendor
+    raises MalformedReport.
     """
-    work_dir = Path(work_dir)
-    if not work_dir.is_dir():
-        raise MissingDirectory(f"work directory {work_dir} does not exist")
     collection: DatasetCollection = {}
-    for pf_dir in sorted(work_dir.glob(f"*{POST_FRONTEND_SUFFIX}")):
-        if not pf_dir.is_dir():
-            continue
+    for name, subs in list_post_frontend(work_dir).items():
         designs = []
-        for sub in sorted(p for p in pf_dir.iterdir() if p.is_dir()):
-            data_path = sub / DESIGN_DATA_FILENAME
-            if data_path.exists():
-                meta = json.loads(data_path.read_text())
-                designs.append(ConcreteDesign(
-                    id=meta["id"], base_name=meta["base_name"], dir=sub,
-                    vendor=meta["vendor"], assignment=None))
-            else:
-                designs.append(AbstractDesign(sub.name, pf_dir.name, sub, list_design_files(sub)))
+        for sub in subs:
+            meta = read_design_meta(sub)
+            if meta is None:
+                designs.append(AbstractDesign(sub.name, name, sub, list_design_files(sub)))
+                continue
+            try:
+                designs.append(ConcreteDesign(id=meta["id"], base_name=meta["base_name"],
+                                              dir=sub, vendor=meta["vendor"]))
+            except KeyError as exc:
+                raise MalformedReport(f"{sub / DESIGN_DATA_FILENAME} lacks {exc}") from exc
         if designs:
-            collection[pf_dir.name] = DesignDataset(pf_dir.name, designs)
+            collection[name] = DesignDataset(name, designs)
     return collection

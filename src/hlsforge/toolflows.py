@@ -43,7 +43,7 @@ from .aggregate import (
     ImplMetrics,
     parse_vitis_csynth_report,
 )
-from .core import design_dir, design_identity, validate_design_files
+from .core import design_dir, design_identity, validate_design_files, walk_files
 from .errors import (
     ExecutableNotFound,
     LabelUnknown,
@@ -289,10 +289,13 @@ def extract_directives(design_root: Path) -> DirectiveProfile:
         return DirectiveProfile(unroll, frozenset(pipelined), banks, "tcl")
 
     anchored: list[tuple[str, list[str]]] = []
-    for path in sorted(design_root.rglob("*")):
-        if not path.is_file() or path.suffix not in SOURCE_SUFFIXES:
-            continue
-        lines = path.read_text().splitlines()
+    # sources by Path.suffix (a leading dot starts none), read part by part
+    # in sorted(Path) order
+    sources = sorted((rel for rel in walk_files(design_root)
+                      if rel.rpartition("/")[2][1:].endswith(SOURCE_SUFFIXES)),
+                     key=lambda rel: rel.split("/"))
+    for rel in sources:
+        lines = (design_root / rel).read_text().splitlines()
         for i, line in enumerate(lines):
             match = ANCHOR_RE.search(line)
             if match:
@@ -393,12 +396,9 @@ def _write_csynth_xml(path: Path, metrics: HlsSynthMetrics) -> None:
     for tag, value in (("LUT", metrics.lut), ("FF", metrics.ff), ("DSP", metrics.dsp),
                        ("BRAM_18K", metrics.bram), ("URAM", metrics.uram)):
         ElementTree.SubElement(resources, tag).text = str(value)
-    tree = ElementTree.ElementTree(root)
-    ElementTree.indent(tree, space="  ")
+    ElementTree.indent(root, space="  ")
     path.parent.mkdir(parents=True, exist_ok=True)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
-    with path.open("a") as handle:
-        handle.write("\n")
+    path.write_bytes(ElementTree.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n")
 
 
 def simulated_runtime_s(lut: int, ff: int) -> float:

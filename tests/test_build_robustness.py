@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 import time
 from dataclasses import asdict
+
+import pytest
 
 from hlsforge.aggregate import (
     COLUMNS,
@@ -17,7 +20,7 @@ from hlsforge.aggregate import (
     row_from_design_dir,
     write_standard_json,
 )
-from hlsforge.cli import build_flow_specs, bundled_designs_dir, extract_reports, run_flows
+from hlsforge.cli import build_flow_specs, bundled_designs_dir, extract_reports, main, run_flows
 from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend
 from hlsforge.frontends import FrontendConfig, execute_frontend
 from hlsforge.toolflows import (
@@ -108,3 +111,59 @@ def test_rewrite_drops_sections_now_absent(tmp_path):
     written = write_standard_json(tmp_path, MetricsBundle(execution=execution))
     assert written == [tmp_path / "data_execution.json"]
     assert read_standard_json(tmp_path) == MetricsBundle(execution=execution)
+
+
+GOOD_META = {"id": "d__12345678", "base_name": "d", "vendor": "xilinx",
+             "assignment": [{"group": "g", "label": "lp1", "line_index": 0,
+                             "directive": "unroll", "choice": "4"}]}
+HLS = HlsSynthMetrics(10, 10, 20, None, 3.0, 100, 80, 1, 2, 0)
+IMPL = ImplMetrics(6.5, 0.1, 90, 72, 1, 2, 0.6)
+UNDECODABLE = b"\xff\xfe\x00"
+
+
+def built_tree(work, meta=GOOD_META):
+    """Two built designs; the first is the one the tests spoil."""
+    for name in ("d__12345678", "e__87654321"):
+        design = work / "ds__post_frontend" / name
+        design.mkdir(parents=True)
+        (design / "data_design.json").write_text(json.dumps({**meta, "id": name}))
+        write_standard_json(design, MetricsBundle(HLS, IMPL, ExecutionMeta("s", "A", 0.1, "ok")))
+    return work / "ds__post_frontend" / "d__12345678"
+
+
+@pytest.mark.parametrize("filename, payload", [
+    ("data_design.json", UNDECODABLE),
+    ("data_design.json", b"[1, 2]"),
+    ("data_design.json", b'"x"'),
+    ("data_design.json", json.dumps({**GOOD_META, "assignment": [1]}).encode()),
+    ("data_hls.json", b'"str"'),
+    ("data_hls.json", UNDECODABLE),
+], ids=["undecodable", "list", "string", "assignment-entry", "hls-string", "hls-undecodable"])
+def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, payload):
+    bad = built_tree(tmp_path / "work")
+    (bad / filename).write_bytes(payload)
+    rows = aggregate_collection(tmp_path / "work").rows
+    assert [(row.design_id, row.base_name) for row in rows] == [("d__12345678", "d"),
+                                                                ("e__87654321", "d")]
+    row, good = rows
+    assert good.vendor == "xilinx" and good.n_directives == 1 and good.has_hls
+    if filename == "data_design.json":
+        assert row.vendor is None and row.assignment_summary is None and row.max_unroll is None
+        assert row.has_hls and row.has_impl
+    else:
+        assert row.vendor == "xilinx" and row.max_unroll == 4
+        assert not row.has_hls and row.has_impl
+
+
+@pytest.mark.parametrize("payload", [UNDECODABLE, b"[1, 2]", b'"x"', b'{"id": "d__12345678"}'],
+                         ids=["undecodable", "list", "string", "no-base-name"])
+def test_build_reports_a_malformed_design_file(tmp_path, capsys, payload):
+    bad = built_tree(tmp_path / "work")
+    (bad / "data_design.json").write_bytes(payload)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"work_dir": str(tmp_path / "work"),
+                                  "flows": [{"type": "mock_synth"}]}))
+    assert main(["build", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedReport: ")
+    assert str(bad / "data_design.json") in err

@@ -7,7 +7,12 @@ import math
 
 import pytest
 
-from hlsforge.aggregate import CSYNTH_REPORT_RELPATH, IMPL_REPORT_RELPATH, parse_vitis_csynth_report
+from hlsforge.aggregate import (
+    CSYNTH_REPORT_RELPATH,
+    IMPL_REPORT_RELPATH,
+    HlsSynthMetrics,
+    parse_vitis_csynth_report,
+)
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.errors import ExecutableNotFound, LabelUnknown, ManifestMissing, SynthReportMissing
 from hlsforge.frontends import FrontendConfig, execute_frontend
@@ -33,6 +38,7 @@ from hlsforge.toolflows import (
     run_flow,
     simulated_runtime_s,
     tool_version,
+    _write_csynth_xml,
 )
 from conftest import SIMPLE_MANIFEST, make_design
 
@@ -111,6 +117,20 @@ def test_extract_directives_from_intel_annotations(tmp_path):
     # anchors alone never mark loops pipelined; the cost model applies the
     # vendor default for intel trees instead
     assert profile.pipelined == frozenset()
+
+
+def test_extract_directives_reads_intel_sources_in_path_order(tmp_path):
+    d = tmp_path / "d"
+    (d / "a").mkdir(parents=True)
+    # part by part a/x.c sorts before a.c (as strings it sorts after), so a.c is read last and wins
+    (d / "a" / "x.c").write_text("// HLSFORGE_LABEL: lp1\n#pragma unroll 2\n")
+    (d / "a.c").write_text("// HLSFORGE_LABEL: lp1\n#pragma unroll 4\n")
+    # a hidden source has a suffix; a file named only ".c" has none and is not read
+    (d / ".x.c").write_text("// HLSFORGE_LABEL: lp2\n#pragma unroll 8\n")
+    (d / ".c").write_text("// HLSFORGE_LABEL: lp3\n#pragma unroll 16\n")
+    profile = extract_directives(d)
+    assert profile.mode == "intel"
+    assert profile.unroll == {"lp2": 8, "lp1": 4}
 
 
 def test_extract_directives_bare_tree(tmp_path):
@@ -212,6 +232,28 @@ def test_csynth_xml_round_trips_exactly(tmp_path):
     direct = compute_mock_synth_metrics(manifest, profile, MockCostConstants())
     parsed = parse_vitis_csynth_report((design.dir / CSYNTH_REPORT_RELPATH).read_text())
     assert parsed == direct
+
+
+PINNED_CSYNTH_XML = (
+    b"<?xml version='1.0' encoding='utf-8'?>\n<profile>\n  <PerformanceEstimates>\n"
+    b"    <SummaryOfOverallLatency>\n      <Best-caseLatency>120</Best-caseLatency>\n"
+    b"      <Average-caseLatency>undef</Average-caseLatency>\n"
+    b"      <Worst-caseLatency>240</Worst-caseLatency>\n    </SummaryOfOverallLatency>\n"
+    b"    <SummaryOfTimingAnalysis>\n"
+    b"      <EstimatedClockPeriod>3.6333333333333333</EstimatedClockPeriod>\n"
+    b"    </SummaryOfTimingAnalysis>\n  </PerformanceEstimates>\n  <AreaEstimates>\n"
+    b"    <Resources>\n      <LUT>1234</LUT>\n      <FF>987</FF>\n      <DSP>4</DSP>\n"
+    b"      <BRAM_18K>2</BRAM_18K>\n      <URAM>0</URAM>\n    </Resources>\n"
+    b"  </AreaEstimates>\n</profile>\n")
+
+
+def test_csynth_xml_bytes_are_pinned(tmp_path):
+    metrics = HlsSynthMetrics(latency_best_cycles=120, latency_avg_cycles=None,
+                              latency_worst_cycles=240, ii=None, clock_estimate_ns=3.3 + 1 / 3,
+                              lut=1234, ff=987, dsp=4, bram=2, uram=0)
+    path = tmp_path / "report" / "csynth.xml"
+    _write_csynth_xml(path, metrics)
+    assert path.read_bytes() == PINNED_CSYNTH_XML
 
 
 def test_mock_impl_needs_synth_report(tmp_path):
