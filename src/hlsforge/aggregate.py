@@ -18,7 +18,15 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
 
-from .core import list_post_frontend, read_design_meta, walk_files
+from .core import (
+    DESIGN_DATA_FILENAME,
+    SOURCE_SUFFIXES,
+    json_fits,
+    list_post_frontend,
+    read_json,
+    walk_files,
+    write_json,
+)
 from .errors import (
     MalformedReport,
     MalformedSpec,
@@ -85,15 +93,17 @@ _SECTIONS = (("hls", HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
              ("execution", ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
 
 
-def _field_types(cls) -> dict[str, type]:
-    """Field name -> plain type, in field order; ``int | None`` gives int."""
+def _field_hints(cls) -> dict:
+    """Field name -> type hint, in field order; a nullable field's is ``int | None``."""
     hints = get_type_hints(cls)
-    return {f.name: next(t for t in get_args(hints[f.name]) or (hints[f.name],)
-                         if t is not type(None))
-            for f in fields(cls)}
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-_FIELD_TYPES = {cls: _field_types(cls) for _, cls, _, _ in _SECTIONS}
+_FIELD_HINTS = {cls: _field_hints(cls) for _, cls, _, _ in _SECTIONS}
+# field name -> plain type, in field order; ``int | None`` gives int
+_FIELD_TYPES = {cls: {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+                      for name, hint in hints.items()}
+                for cls, hints in _FIELD_HINTS.items()}
 
 # Column order is the table schema; exports and imports key off these names.
 # The identity and assignment columns come first, then every metric field
@@ -221,26 +231,26 @@ def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
         if section is None:
             path.unlink(missing_ok=True)
             continue
-        payload = {"schema_version": SCHEMA_VERSION, **asdict(section)}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        written.append(path)
+        written.append(write_json(path, {"schema_version": SCHEMA_VERSION, **asdict(section)}))
     return written
 
 
 def _read_section(design_dir: Path, filename: str, cls):
     """The section stored in filename, or None when the file is absent or
-    corrupted: one bad sidecar leaves its section null rather than sink the table."""
+    corrupted (not a JSON object; fields missing, unknown or of the wrong JSON
+    type): one bad sidecar leaves its section null rather than sink the table."""
     try:
-        payload = json.loads((design_dir / filename).read_text())
-    except (FileNotFoundError, ValueError):  # absent, undecodable or invalid JSON
+        payload = read_json(design_dir / filename)
+    except MalformedReport:
         return None
-    if not isinstance(payload, dict):
+    if payload is None:
         return None
     payload.pop("schema_version", None)
-    try:
-        return cls(**payload)
-    except TypeError:  # fields missing or unknown
+    hints = _FIELD_HINTS[cls]
+    if payload.keys() != hints.keys() or not all(json_fits(payload[name], hint)
+                                                 for name, hint in hints.items()):
         return None
+    return cls(**payload)
 
 
 def read_standard_json(design_dir: Path) -> MetricsBundle:
@@ -281,7 +291,7 @@ def _design_columns(design_dir: Path) -> dict:
     directory name and the other columns stay null.
     """
     try:
-        meta = read_design_meta(design_dir)
+        meta = read_json(design_dir / DESIGN_DATA_FILENAME)
         if meta is not None:
             return {"design_id": meta.get("id", design_dir.name),
                     "base_name": meta.get("base_name", design_dir.name.split("__")[0]),
@@ -347,28 +357,27 @@ def _coerce(column: str, value):
 
 
 def load_table(path: Path) -> AggregatedTable:
-    """Read back a csv/jsonl export (column types restored from the schema)."""
+    """Read back a csv/jsonl export (column types restored from the schema).
+
+    Raises SourceUnreadable when the file is absent, and MalformedReport naming
+    the file when a line or cell cannot be read back.
+    """
     path = Path(path)
-    if not path.exists():
-        raise SourceUnreadable(f"table file {path} does not exist")
     rows = []
-    if path.suffix == ".jsonl":
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            payload.pop("schema_version", None)
-            row = AggregatedRow()
-            for name in COLUMNS:
-                setattr(row, name, _coerce(name, payload.get(name)))
-            rows.append(row)
-    else:
+    try:
         with path.open(newline="") as handle:
-            for record in csv.DictReader(handle):
+            records = (map(json.loads, filter(str.strip, handle)) if path.suffix == ".jsonl"
+                       else csv.DictReader(handle))
+            for record in records:
                 row = AggregatedRow()
                 for name in COLUMNS:
                     setattr(row, name, _coerce(name, record.get(name)))
                 rows.append(row)
+    except FileNotFoundError as exc:
+        raise SourceUnreadable(f"table file {path} does not exist") from exc
+    # undecodable bytes, invalid JSON or CSV, a line that is no object, a bad cell
+    except (ValueError, ArithmeticError, AttributeError, TypeError, csv.Error) as exc:
+        raise MalformedReport(f"table file {path}: {exc}") from exc
     return AggregatedTable(rows)
 
 
@@ -467,7 +476,7 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
     return ImportResult(rows, n_dropped)
 
 
-_SOURCE_ARCHIVE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp", ".cl", ".tcl")
+_ARCHIVED_SUFFIXES = (*SOURCE_SUFFIXES, ".tcl")
 
 
 def _archived(rel: str, include_artifacts: bool) -> bool:
@@ -481,7 +490,7 @@ def _archived(rel: str, include_artifacts: bool) -> bool:
     return (name == "timeline.json" or name == "opt.tcl"
             or (name.startswith("data_") and name.endswith(".json"))
             # as in Path.suffix, a leading dot starts no suffix: ".c" has none
-            or name[1:].endswith(_SOURCE_ARCHIVE_SUFFIXES))
+            or name[1:].endswith(_ARCHIVED_SUFFIXES))
 
 
 def archive_dataset(work_dir: Path, out_path: Path, include_artifacts: bool = False) -> Path:

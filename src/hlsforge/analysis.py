@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import DegenerateTruth, EmptyInput, EmptyValues, LengthMismatch, NoPairs
 
@@ -103,13 +103,18 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> WilcoxonResult:
     return WilcoxonResult(w, _normal_p(ranks, w), n, "normal")
 
 
-def compute_rae(pred: list[float], truth: list[float]) -> float:
-    """Relative absolute error: sum|pred-truth| / sum|truth-mean(truth)|."""
+def _truth_mean(pred: list[float], truth: list[float], name: str) -> float:
+    """mean(truth), once pred and truth are known to be non-empty and paired."""
     if len(pred) != len(truth):
         raise LengthMismatch(f"pred/truth differ in length: {len(pred)} vs {len(truth)}")
     if not truth:
-        raise EmptyInput("compute_rae needs at least one pair")
-    mean = statistics.fmean(truth)
+        raise EmptyInput(f"{name} needs at least one pair")
+    return statistics.fmean(truth)
+
+
+def compute_rae(pred: list[float], truth: list[float]) -> float:
+    """Relative absolute error: sum|pred-truth| / sum|truth-mean(truth)|."""
+    mean = _truth_mean(pred, truth, "compute_rae")
     denom = sum(abs(t - mean) for t in truth)
     if denom == 0:
         raise DegenerateTruth("all truth values are identical; RAE is undefined")
@@ -118,11 +123,7 @@ def compute_rae(pred: list[float], truth: list[float]) -> float:
 
 def compute_r2(pred: list[float], truth: list[float]) -> float:
     """Coefficient of determination: 1 - SS_res / SS_tot."""
-    if len(pred) != len(truth):
-        raise LengthMismatch(f"pred/truth differ in length: {len(pred)} vs {len(truth)}")
-    if not truth:
-        raise EmptyInput("compute_r2 needs at least one pair")
-    mean = statistics.fmean(truth)
+    mean = _truth_mean(pred, truth, "compute_r2")
     ss_tot = sum((t - mean) ** 2 for t in truth)
     if ss_tot == 0:
         raise DegenerateTruth("all truth values are identical; R^2 is undefined")
@@ -155,18 +156,11 @@ class RegressionReport:
     comparisons: dict = field(default_factory=dict)  # metric -> MetricComparison
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n_common": self.n_common,
-            "n_only_a": self.n_only_a,
-            "n_only_b": self.n_only_b,
-            "metrics": {name: {
-                "n_pairs": c.n_pairs, "mean_a": c.mean_a, "mean_b": c.mean_b,
-                "median_a": c.median_a, "median_b": c.median_b, "mean_delta": c.mean_delta,
-                "w_statistic": c.w_statistic, "p_two_tailed": c.p_two_tailed,
-                "n_effective": c.n_effective, "method": c.method, "significant": c.significant,
-            } for name, c in self.comparisons.items()},
-        }
+        """The report's fields, with comparisons as "metrics" keyed by metric name."""
+        out = asdict(self)
+        out["metrics"] = {name: {key: value for key, value in c.items() if key != "metric"}
+                          for name, c in out.pop("comparisons").items()}
+        return out
 
 
 def _rows_of(table_or_rows) -> list:
@@ -242,16 +236,11 @@ class CoverageSummary:
     sizes: dict = field(default_factory=dict)  # group -> row count
 
     def to_json_dict(self) -> dict:
-        return {
-            "group_by": self.group_by,
-            "groups": {group: {
-                "n_designs": self.sizes[group],
-                "metrics": {metric: {
-                    "count": s.count, "min": s.min, "q1": s.q1, "median": s.median,
-                    "q3": s.q3, "max": s.max,
-                } for metric, s in metrics.items()},
-            } for group, metrics in self.groups.items()},
-        }
+        return {"group_by": self.group_by,
+                "groups": {group: {"n_designs": self.sizes[group],
+                                   "metrics": {metric: asdict(spread)
+                                               for metric, spread in metrics.items()}}
+                           for group, metrics in self.groups.items()}}
 
 
 def _spread(values: list[float]) -> MetricSpread:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 from collections import Counter
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from . import aggregate as agg
 from .analysis import (
@@ -37,14 +37,18 @@ from .core import (
     WorkspaceLayout,
     design_dir,
     design_identity,
+    json_fits,
     load_dataset,
     load_post_frontend,
+    read_json,
+    write_json,
 )
 from .errors import (
     ConfigError,
     EmptyDataset,
     ExecutableNotFound,
     HlsForgeError,
+    MalformedReport,
     MissingDirectory,
     NoPairs,
 )
@@ -83,22 +87,30 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _expect_field_types(where: str, raw: dict, cls) -> None:
+    """Each key of raw that names a field of the dataclass cls holds a JSON value
+    of that field's type (see core.json_fits); nothing is coerced."""
+    hints = get_type_hints(cls)
+    for key, value in raw.items():
+        if key in hints:
+            _expect(json_fits(value, hints[key]),
+                    f"{where}.{key} must have type {hints[key].__name__}, got {value!r}")
+
+
 def load_run_config(path: Path) -> RunConfig:
     """Parse and validate the single-JSON run configuration."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    _expect(isinstance(payload, dict), "config root must be a JSON object")
+        payload = read_json(path)
+    except MalformedReport as exc:
+        raise ConfigError(f"config file {exc}") from exc
+    _expect(payload is not None, f"config file {path} does not exist")
 
     work_dir = os.environ.get(WORK_DIR_ENV) or payload.get("work_dir")
-    _expect(bool(work_dir), f"work_dir is required (or set {WORK_DIR_ENV})")
+    _expect(bool(work_dir) and isinstance(work_dir, str),
+            f"work_dir must be a directory path string (or set {WORK_DIR_ENV})")
 
     seed = payload.get("seed", 0)
-    _expect(isinstance(seed, int), "seed must be an integer")
+    _expect(json_fits(seed, int), "seed must be an integer")
 
     datasets = payload.get("datasets", {})
     _expect(isinstance(datasets, dict), "datasets must map names to directories")
@@ -107,13 +119,14 @@ def load_run_config(path: Path) -> RunConfig:
 
     raw_frontend = payload.get("frontend", {})
     _expect(isinstance(raw_frontend, dict), "frontend must be an object")
+    _expect_field_types("frontend", raw_frontend, FrontendConfig)
     try:
         frontend = FrontendConfig(
             vendor=raw_frontend.get("vendor", "xilinx"),
-            random_sample=bool(raw_frontend.get("random_sample", True)),
-            n_samples=int(raw_frontend.get("n_samples", 1)),
+            random_sample=raw_frontend.get("random_sample", True),
+            n_samples=raw_frontend.get("n_samples", 1),
             seed=seed)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"frontend: {exc}") from exc
 
     flows = payload.get("flows", [])
@@ -125,28 +138,31 @@ def load_run_config(path: Path) -> RunConfig:
     _expect(isinstance(executor, dict), "executor must be an object")
     strategy = executor.get("strategy", "fine_grained")
     _expect(strategy in STRATEGIES, "executor.strategy must be fine_grained or naive")
-    n_workers = executor.get("n_workers", os.cpu_count() or 1)
-    _expect(isinstance(n_workers, int) and n_workers >= 1,
+    n_workers = executor.get("n_workers", local_workers())
+    _expect(json_fits(n_workers, int) and n_workers >= 1,
             "executor.n_workers must be a positive integer")
-    pin_cores = bool(executor.get("pin_cores", False))
+    pin_cores = executor.get("pin_cores", False)
+    _expect(isinstance(pin_cores, bool), "executor.pin_cores must be true or false")
 
     return RunConfig(work_dir=Path(work_dir), seed=seed, datasets=datasets, frontend=frontend,
                      flows=flows, strategy=strategy, n_workers=n_workers, pin_cores=pin_cores)
 
 
-def _mock_constants(raw: dict) -> MockCostConstants:
+def _mock_constants(i: int, raw: dict) -> MockCostConstants:
     overrides = raw.get("constants", {})
     known = {f.name for f in dataclasses.fields(MockCostConstants)}
     unknown = set(overrides) - known
     _expect(not unknown, f"unknown mock constant(s): {', '.join(sorted(unknown))}")
+    _expect_field_types(f"flows[{i}].constants", overrides, MockCostConstants)
     return dataclasses.replace(MockCostConstants(), **overrides)
 
 
 _MOCK_FLOWS = {"mock_synth": mock_synth_flow, "mock_impl": mock_impl_flow}
 
 
-# JSON type of each optional key of a flow entry
-_FLOW_KEYS = {"timeout_s": ((int, float), "a number"), "environment": (dict, "an object"),
+# JSON type of each key of a flow entry
+_FLOW_KEYS = {"type": (str, "a string"), "timeout_s": ((int, float), "a number"),
+              "environment": (dict, "an object"),
               "constants": (dict, "an object"), "executable": (str, "a string"),
               "name": (str, "a string"), "command": (list, "a list of strings"),
               "required_files": (list, "a list of strings")}
@@ -167,7 +183,7 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
         environment = tuple(sorted((k, str(v)) for k, v in raw.get("environment", {}).items()))
         command = tuple(raw.get("command", ()))
         if kind in _MOCK_FLOWS:
-            specs.append(_MOCK_FLOWS[kind](timeout_s=timeout_s, constants=_mock_constants(raw)))
+            specs.append(_MOCK_FLOWS[kind](timeout_s=timeout_s, constants=_mock_constants(i, raw)))
         elif kind in EXTERNAL_FLOWS:
             flow = EXTERNAL_FLOWS[kind]
             specs.append(flow.spec(raw.get("executable", flow.executable), command, timeout_s,
@@ -187,10 +203,13 @@ def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy
               n_workers: int, pin_cores: bool) -> tuple[dict, Timeline]:
     """Run every design's chain of flows over the collection on one shared clock.
 
-    Returns ({flow_name: {design_id: outcome}}, timeline).
+    Returns ({flow_name: {(dataset, design_id): outcome}}, timeline); two
+    datasets may hold designs of the same id.
     """
     chains, timeline = execute(collection, specs, n_workers, strategy, pin_cores)
-    return {spec.name: {chain[i].design_id: chain[i] for chain in chains}
+    keys = [(name, design_identity(design))
+            for name, dataset in collection.items() for design in dataset.designs]
+    return {spec.name: {key: chain[i] for key, chain in zip(keys, chains)}
             for i, spec in enumerate(specs)}, timeline
 
 
@@ -202,13 +221,14 @@ def _parse_report(path: Path, parse):
         return None
 
 
-def _extract_design(primary: ToolFlowSpec | None, version: str, outcomes: dict, design) -> int:
-    """Write one design's data_*.json files; returns how many were written."""
+def _extract_design(primary: ToolFlowSpec | None, version: str, outcomes: dict, job) -> int:
+    """Write the data_*.json files of one (dataset, design); returns how many were written."""
+    dataset_name, design = job
     root = design_dir(design)
     hls = _parse_report(root / agg.CSYNTH_REPORT_RELPATH, agg.parse_vitis_csynth_report)
     bundle = agg.MetricsBundle(hls, _parse_report(root / agg.IMPL_REPORT_RELPATH,
                                                   agg.parse_impl_report))
-    outcome = outcomes.get(design_identity(design))
+    outcome = outcomes.get((dataset_name, design_identity(design)))
     if outcome is not None:
         if primary.kind == KIND_EXTERNAL:
             runtime = round(outcome.runtime_s, 6)
@@ -229,8 +249,8 @@ def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
     primary = specs[0] if specs else None
     version = tool_version(primary) if primary else ""
     outcomes = results.get(primary.name, {}) if primary else {}
-    designs = [design for dataset in collection.values() for design in dataset.designs]
-    return sum(fork_map(partial(_extract_design, primary, version, outcomes), designs,
+    jobs = [(name, design) for name, dataset in collection.items() for design in dataset.designs]
+    return sum(fork_map(partial(_extract_design, primary, version, outcomes), jobs,
                         local_workers()))
 
 
@@ -308,7 +328,7 @@ def cmd_regress(args) -> int:
     report = compare_tool_versions(table_a, table_b, metrics=metrics, alpha=args.alpha)
     print(format_regression_table(report))
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        write_json(args.json, report.to_json_dict())
         print(f"report -> {args.json}")
     return 0
 
@@ -331,7 +351,7 @@ def cmd_stats(args) -> int:
         else:
             print(f"\nno values for {args.hist}")
     if args.json:
-        Path(args.json).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
+        write_json(args.json, summary.to_json_dict())
         print(f"summary -> {args.json}")
     return 0
 
@@ -365,12 +385,22 @@ def cmd_demo(args) -> int:
     csv_path = agg.export_tabular(table, out_dir / "aggregated.csv", format="csv")
     jsonl_path = agg.export_tabular(table, out_dir / "aggregated.jsonl", format="jsonl")
     summary = coverage_summary(table, group_by="dataset")
-    (out_dir / "coverage.json").write_text(
-        json.dumps(summary.to_json_dict(), indent=2) + "\n")
+    write_json(out_dir / "coverage.json", summary.to_json_dict())
     print(format_coverage_table(summary))
     print(f"{len(table.rows)} rows -> {csv_path} and {jsonl_path}")
     print(f"coverage -> {out_dir / 'coverage.json'}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", default="base_name")
     p.add_argument("--metrics", default=None, help="comma-separated column names")
     p.add_argument("--hist", default=None, help="also print a histogram of this column")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=_positive_int, default=10)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("demo", help="end-to-end run on the bundled designs")
     p.add_argument("--out", default="hlsforge_demo")
-    p.add_argument("--n-samples", type=int, default=4)
+    p.add_argument("--n-samples", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n-workers", type=int, default=4)
+    p.add_argument("--n-workers", type=_positive_int, default=4)
     p.add_argument("--strategy", choices=("fine_grained", "naive"), default="fine_grained")
     p.set_defaults(func=cmd_demo)
 

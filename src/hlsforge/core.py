@@ -15,6 +15,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 from .errors import EmptyDataset, MalformedReport, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
@@ -24,6 +25,9 @@ OPT_RENDERED_FILENAME = "opt.tcl"
 DESIGN_DATA_FILENAME = "data_design.json"
 POST_FRONTEND_SUFFIX = "__post_frontend"
 VENDORS = ("xilinx", "intel")
+# file suffixes of compilation units, and of every source a lowering may annotate
+COMPILED_SUFFIXES = (".c", ".cc", ".cpp", ".cxx")
+SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -190,21 +194,39 @@ def list_post_frontend(work_dir: Path) -> dict[str, list[Path]]:
             if pf_dir.name.endswith(POST_FRONTEND_SUFFIX)}
 
 
-def read_design_meta(design_dir: Path) -> dict | None:
-    """The design's data_design.json object, or None when there is none.
+def read_json(path: Path) -> dict | None:
+    """The JSON object in the file at path, or None when there is no such file.
 
-    Raises MalformedReport naming the file when it does not hold a JSON object.
+    Raises MalformedReport naming the file when its bytes are undecodable, its
+    text is not JSON, or its JSON is not an object.
     """
-    path = Path(design_dir) / DESIGN_DATA_FILENAME
     try:
-        meta = json.loads(path.read_text())
+        with open(path) as handle:
+            payload = json.load(handle)
     except FileNotFoundError:
         return None
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise MalformedReport(f"{path}: {exc}") from exc
-    if not isinstance(meta, dict):
+    if not isinstance(payload, dict):
         raise MalformedReport(f"{path}: not a JSON object")
-    return meta
+    return payload
+
+
+def json_fits(value, hint) -> bool:
+    """Whether a decoded JSON value has a field's type: only a bool fits bool, an
+    int that is not a bool fits int, any number fits float, and None fits only
+    an optional field (``int | None``)."""
+    kinds = get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+
+
+def write_json(path: Path, obj) -> Path:
+    """Write obj as JSON in the work tree's one layout: two-space indent, final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+    return path
 
 
 def load_post_frontend(work_dir: Path) -> DatasetCollection:
@@ -219,7 +241,7 @@ def load_post_frontend(work_dir: Path) -> DatasetCollection:
     for name, subs in list_post_frontend(work_dir).items():
         designs = []
         for sub in subs:
-            meta = read_design_meta(sub)
+            meta = read_json(sub / DESIGN_DATA_FILENAME)
             if meta is None:
                 designs.append(AbstractDesign(sub.name, name, sub, list_design_files(sub)))
                 continue

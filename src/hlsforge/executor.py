@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .core import DatasetCollection, design_identity
+from .core import DatasetCollection, design_identity, write_json
 from .pool import current_worker, fork_map, pin_to_core
 from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
 
@@ -177,9 +176,7 @@ def write_timeline(path: Path, timeline: Timeline) -> Path:
         "end_s": r.end_s,
         "status": r.status,
     } for r in timeline.records]
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return write_json(path, payload)
 
 
 def utilization_rows(timeline: Timeline) -> list[dict]:

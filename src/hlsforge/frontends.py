@@ -18,7 +18,6 @@ refused as an IdCollision and never overwrites the first.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .core import (
     DESIGN_DATA_FILENAME,
     OPT_RENDERED_FILENAME,
     OPT_TEMPLATE_FILENAME,
+    SOURCE_SUFFIXES,
     AbstractDesign,
     ConcreteDesign,
     DatasetCollection,
@@ -37,11 +37,14 @@ from .core import (
     concrete_design_id,
     design_identity,
     list_design_files,
+    read_json,
+    write_json,
 )
 from .errors import (
     AnchorNotFound,
     IdCollision,
     LabelUnknown,
+    MalformedReport,
     ManifestMissing,
     MissingTemplate,
     UnsupportedDirective,
@@ -63,7 +66,6 @@ from .rng import Xoshiro256StarStar
 MANIFEST_FILENAME = "mock_manifest.json"
 PROVENANCE_FILENAME = "data_intel_provenance.json"
 ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
-SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".cxx", ".h", ".hpp", ".cl")
 
 # spaces up to this size are sampled by a partial Fisher-Yates shuffle of the
 # index range, larger ones by rejection; both keep O(k) state, and the limit
@@ -145,10 +147,6 @@ def _assignment_entries(assignment: DirectiveAssignment) -> list[dict]:
     return entries
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
-
-
 def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> None:
     if out_dir.exists():
         shutil.rmtree(out_dir)
@@ -157,7 +155,7 @@ def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> Non
 
 def _write_design_data(out_dir: Path, base_name: str, design_id: str, vendor: str,
                        entries: list[dict]) -> None:
-    _write_json(out_dir / DESIGN_DATA_FILENAME, {
+    write_json(out_dir / DESIGN_DATA_FILENAME, {
         "base_name": base_name,
         "id": design_id,
         "vendor": vendor,
@@ -183,10 +181,10 @@ def _lowering_copy(design: AbstractDesign, assignment: DirectiveAssignment,
     out_dir = _out_dir(layout, design, design_id)
     entries = _assignment_entries(assignment)
     try:
-        held = json.loads((out_dir / DESIGN_DATA_FILENAME).read_text())["assignment"]
-    except (FileNotFoundError, ValueError, KeyError):  # nothing readable to keep
-        held = entries
-    if held != entries:
+        held = read_json(out_dir / DESIGN_DATA_FILENAME) or {}
+    except MalformedReport:  # nothing readable to keep
+        held = {}
+    if held.get("assignment", entries) != entries:
         raise IdCollision(f"{out_dir} already holds another assignment of {design.name!r}")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
@@ -228,9 +226,9 @@ def map_directive_to_intel(line: DirectiveLine, choice: str,
 
 def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
     manifest_path = design_dir / MANIFEST_FILENAME
-    if not manifest_path.exists():
+    manifest = read_json(manifest_path)
+    if manifest is None:
         raise ManifestMissing(f"{manifest_path} is required for array_partition lowering")
-    manifest = json.loads(manifest_path.read_text())
     for array in manifest.get("arrays", []):
         if array.get("label") == label:
             if "elem_bytes" not in array:
@@ -287,7 +285,7 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         raise AnchorNotFound(f"no anchor comment found for label(s): {missing}")
 
     _write_design_data(out_dir, design.name, design_id, "intel", entries)
-    _write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
+    write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
     return ConcreteDesign(design_id, design.name, out_dir, "intel", canon)
 
 

@@ -30,7 +30,6 @@ line index) and is what design ids hash.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -191,9 +190,11 @@ def parse_opt_template(text: str) -> OptTemplate:
 
 
 def _is_header_shaped(line: str) -> bool:
-    fields = [f.strip() for f in line.split(",")]
-    return (len(fields) == 3 and bool(_IDENT_RE.match(fields[0]))
-            and bool(_INT_RE.match(fields[1])) and bool(_INT_RE.match(fields[2])))
+    try:
+        _parse_group_header(line, 0)
+    except OptSyntaxError:
+        return False
+    return True
 
 
 def enumerate_design_space(template: OptTemplate) -> DesignSpace:
@@ -232,11 +233,8 @@ def assignment_at(space: DesignSpace, index: int) -> DirectiveAssignment:
 
 def iter_assignments(space: DesignSpace):
     """Yield every assignment in Cartesian-product order over the axes."""
-    for combo in itertools.product(*(axis.alternatives for axis in space.axes)):
-        selections = tuple(
-            Selection(axis.group, axis.label, line.index, line.fixed_directive, line.param_kind, choice)
-            for axis, (line, choice) in zip(space.axes, combo))
-        yield DirectiveAssignment(selections, space.template)
+    for index in range(space.size):
+        yield assignment_at(space, index)
 
 
 def _find_template(template: OptTemplate, kind: str) -> str:

@@ -29,10 +29,11 @@ def local_workers() -> int:
 
 
 def pin_to_core(worker_index: int) -> int | None:
-    """Best-effort affinity of the calling thread to one core."""
+    """Best-effort affinity of the calling thread to one of the cores it may run
+    on: the (worker_index mod their number)-th, counting in core order."""
     try:
-        n_cores = len(os.sched_getaffinity(0))
-        core = worker_index % n_cores
+        allowed = sorted(os.sched_getaffinity(0))
+        core = allowed[worker_index % len(allowed)]
         os.sched_setaffinity(0, {core})
         return core
     except (AttributeError, OSError):

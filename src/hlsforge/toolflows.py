@@ -23,7 +23,6 @@ power_base_w + lut * power_lut_w + dsp * power_dsp_w.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import re
@@ -43,14 +42,24 @@ from .aggregate import (
     ImplMetrics,
     parse_vitis_csynth_report,
 )
-from .core import design_dir, design_identity, validate_design_files, walk_files
+from .core import (
+    COMPILED_SUFFIXES,
+    SOURCE_SUFFIXES,
+    design_dir,
+    design_identity,
+    read_json,
+    validate_design_files,
+    walk_files,
+    write_json,
+)
 from .errors import (
     ExecutableNotFound,
     LabelUnknown,
+    MalformedReport,
     ManifestMissing,
     SynthReportMissing,
 )
-from .frontends import ANCHOR_RE, MANIFEST_FILENAME, SOURCE_SUFFIXES
+from .frontends import ANCHOR_RE, MANIFEST_FILENAME
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -114,12 +123,12 @@ class MockManifest:
     @classmethod
     def load(cls, design_root: Path) -> "MockManifest":
         path = Path(design_root) / MANIFEST_FILENAME
-        if not path.exists():
-            raise ManifestMissing(f"{path} does not exist")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ManifestMissing(f"{path} is not valid JSON: {exc}") from exc
+            payload = read_json(path)
+        except MalformedReport as exc:
+            raise ManifestMissing(str(exc)) from exc
+        if payload is None:
+            raise ManifestMissing(f"{path} does not exist")
         for name in ("loops", "base_lut", "base_ff"):
             if name not in payload:
                 raise ManifestMissing(f"{path} lacks required field {name!r}")
@@ -440,7 +449,7 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants(),
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
     out_path = root / IMPL_REPORT_RELPATH
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(asdict(metrics), indent=2) + "\n")
+    write_json(out_path, asdict(metrics))
     runtime = time.monotonic() - start
     log_path = root / f"{flow_name}.log"
     log_path.write_text(
@@ -455,7 +464,7 @@ def _expand_argv(spec: ToolFlowSpec, root: Path) -> list[str]:
     for token in spec.command_template:
         if token == "{sources}":
             argv.extend(sorted(str(p.name) for p in root.iterdir()
-                               if p.suffix in (".c", ".cc", ".cpp", ".cxx")))
+                               if p.suffix in COMPILED_SUFFIXES))
         else:
             argv.append(token.replace("{design_dir}", str(root)))
     return argv

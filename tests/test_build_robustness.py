@@ -66,12 +66,38 @@ def test_one_bad_design_fails_alone(tmp_path):
     results = build(collection, mock_specs(MockCostConstants()))
 
     synth = results["mock_hls_synth"]
-    assert synth[bad.id].status == STATUS_FAILED
-    assert "ValueError" in synth[bad.id].log_path.read_text()
+    assert synth[("ds__post_frontend", bad.id)].status == STATUS_FAILED
+    assert "ValueError" in synth[("ds__post_frontend", bad.id)].log_path.read_text()
     for design in designs:
         if design is not bad:
-            assert synth[design.id].status == STATUS_OK
-            assert results["mock_impl"][design.id].status == STATUS_OK
+            assert synth[("ds__post_frontend", design.id)].status == STATUS_OK
+            assert results["mock_impl"][("ds__post_frontend", design.id)].status == STATUS_OK
+
+
+def test_designs_sharing_an_id_across_datasets_keep_their_own_outcomes(tmp_path):
+    source = tmp_path / "src_ds"
+    shutil.copytree(bundled_designs_dir() / "gemm", source / "gemm")
+    work = tmp_path / "work"
+    sources = {name: load_dataset(source, name) for name in ("a", "b")}
+    result = execute_frontend(sources, FrontendConfig(n_samples=3, seed=5), WorkspaceLayout(work))
+    assert not result.failures
+    collection = load_post_frontend(work)
+    bad = collection["a__post_frontend"].designs[1]
+    assert bad.id in {design.id for design in collection["b__post_frontend"].designs}
+    with (bad.dir / "opt.tcl").open("a") as handle:
+        handle.write("set_directive_unroll -factor abc gemm/lp1\n")
+
+    results = build(collection, mock_specs(MockCostConstants()))
+
+    synth = results["mock_hls_synth"]
+    assert len(synth) == 6
+    assert synth[("a__post_frontend", bad.id)].status == STATUS_FAILED
+    assert synth[("b__post_frontend", bad.id)].status == STATUS_OK
+    status = {(row.dataset, row.design_id): row.exec_status
+              for row in aggregate_collection(work).rows}
+    assert status[("a__post_frontend", bad.id)] == STATUS_FAILED
+    assert status[("b__post_frontend", bad.id)] == STATUS_OK
+    assert sum(s == STATUS_OK for s in status.values()) == 5
 
 
 def test_timeout_kills_the_whole_process_group(tmp_path):
@@ -93,7 +119,7 @@ def test_failed_rebuild_keeps_no_results_of_the_old_version(tmp_path):
     with (design.dir / "opt.tcl").open("a") as handle:
         handle.write("set_directive_unroll -factor 2 gemm/nosuchloop\n")
     results = build(collection, mock_specs(perturbed_constants()))
-    assert results["mock_hls_synth"][design.id].status == STATUS_FAILED
+    assert results["mock_hls_synth"][("ds__post_frontend", design.id)].status == STATUS_FAILED
 
     [row] = aggregate_collection(work).rows
     for name in COLUMNS:
@@ -138,7 +164,11 @@ def built_tree(work, meta=GOOD_META):
     ("data_design.json", json.dumps({**GOOD_META, "assignment": [1]}).encode()),
     ("data_hls.json", b'"str"'),
     ("data_hls.json", UNDECODABLE),
-], ids=["undecodable", "list", "string", "assignment-entry", "hls-string", "hls-undecodable"])
+    ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "lut": "abc"}).encode()),
+    ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "dsp": True}).encode()),
+    ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "ff": 2.5}).encode()),
+], ids=["undecodable", "list", "string", "assignment-entry", "hls-string", "hls-undecodable",
+        "hls-string-value", "hls-bool-value", "hls-float-for-int"])
 def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, payload):
     bad = built_tree(tmp_path / "work")
     (bad / filename).write_bytes(payload)

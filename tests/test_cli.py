@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import hlsforge.cli as cli
 from conftest import make_design, tree_bytes
 from hlsforge.aggregate import AggregatedRow, AggregatedTable, export_tabular
 from hlsforge.cli import WORK_DIR_ENV, build_flow_specs, load_run_config, main
@@ -56,6 +57,11 @@ def test_load_run_config_defaults(tmp_path):
     assert not config.pin_cores
 
 
+def test_n_workers_defaults_to_the_allowed_cores(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "local_workers", lambda: 5)
+    assert load_run_config(write_config(tmp_path)).n_workers == 5
+
+
 def test_work_dir_env_wins(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     monkeypatch.setenv(WORK_DIR_ENV, str(tmp_path / "elsewhere"))
@@ -82,6 +88,13 @@ def test_work_dir_env_fills_missing(tmp_path, monkeypatch):
     {"executor": {"strategy": "bogus"}},
     {"executor": {"n_workers": 0}},
     {"executor": {"n_workers": "four"}},
+    {"seed": True},
+    {"frontend": {"random_sample": "false"}},
+    {"frontend": {"n_samples": 2.5}},
+    {"frontend": {"n_samples": True}},
+    {"frontend": {"vendor": 1}},
+    {"executor": {"pin_cores": "no"}},
+    {"executor": {"n_workers": 2.0}},
 ])
 def test_load_run_config_rejects(tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -101,6 +114,13 @@ def test_load_run_config_rejects_broken_files(tmp_path):
         load_run_config(listy)
 
 
+def test_an_undecodable_config_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff\xfe\x00")
+    assert main(["build", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {config}: ")
+
+
 def test_build_flow_specs_mock_and_custom():
     specs = build_flow_specs([
         {"type": "mock_synth", "constants": {"lut_per_op": 31}},
@@ -116,11 +136,21 @@ def test_build_flow_specs_mock_and_custom():
     assert specs[3].name == "custom_3"
 
 
+def test_a_float_constant_takes_any_number():
+    [spec] = build_flow_specs([{"type": "mock_synth", "constants": {"clock_base_ns": 3}}])
+    assert spec.constants.clock_base_ns == 3
+
+
 @pytest.mark.parametrize("raw", [
     [{"type": "warp_drive"}],
     [{"type": "mock_synth", "constants": {"lut_per_flop": 1}}],
     [{"type": "mock_synth", "constants": [1]}],
     [{"type": "custom"}],
+    [{"type": ["mock_synth"]}],
+    [{"type": "mock_synth", "constants": {"lut_per_op": "25"}}],
+    [{"type": "mock_synth", "constants": {"lut_per_op": 25.0}}],
+    [{"type": "mock_impl", "constants": {"impl_scale": "0.9"}}],
+    [{"type": "mock_impl", "constants": {"version": 2024}}],
 ])
 def test_build_flow_specs_rejects(raw):
     with pytest.raises(ConfigError):
@@ -258,6 +288,43 @@ def test_stats_empty_table(tmp_path, capsys):
     empty = export_tabular(AggregatedTable([]), tmp_path / "empty.csv")
     assert main(["stats", str(empty)]) == 4
     assert "no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--n-samples", "0"],
+    ["demo", "--n-workers", "0"],
+    ["demo", "--n-workers", "two"],
+    ["stats", "--hist", "hls_lut", "--bins", "0"],
+], ids=["demo-samples", "demo-workers", "demo-workers-word", "stats-bins"])
+def test_count_flags_must_be_positive(tmp_path, capsys, argv):
+    table = export_tabular(AggregatedTable([AggregatedRow(design_id="a", base_name="a",
+                                                          hls_lut=1)]), tmp_path / "t.csv")
+    place = ["--out", str(tmp_path / "demo")] if argv[0] == "demo" else [str(table)]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *place, *argv[1:]])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "demo").exists()
+
+
+@pytest.mark.parametrize("name, content", [
+    ("int-cell.csv", None),
+    ("undecodable.csv", b"\xff\xfe\x00"),
+    ("invalid.jsonl", b'{"design_id": "a"}\n{nope\n'),
+    ("non-object.jsonl", b"[1, 2]\n"),
+], ids=["int-cell", "undecodable", "invalid-jsonl", "non-object-jsonl"])
+@pytest.mark.parametrize("command", ["regress", "stats"])
+def test_an_unreadable_table_is_a_malformed_report(tmp_path, capsys, command, name, content):
+    good = export_tabular(AggregatedTable([AggregatedRow(design_id="a", hls_lut=1)]),
+                          tmp_path / "good.csv")
+    bad = tmp_path / name
+    if content is None:  # a table that reads "abc" where the schema holds an integer
+        export_tabular(AggregatedTable([AggregatedRow(design_id="a", hls_lut="abc")]), bad)
+    else:
+        bad.write_bytes(content)
+    argv = ["regress", str(bad), str(good)] if command == "regress" else ["stats", str(bad)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: MalformedReport: table file {bad}: ")
 
 
 def test_demo_smoke(tmp_path, capsys):

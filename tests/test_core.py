@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -16,9 +17,11 @@ from hlsforge.core import (
     design_identity,
     list_design_files,
     load_dataset,
+    read_json,
     validate_design_files,
+    write_json,
 )
-from hlsforge.errors import EmptyDataset, MissingDirectory
+from hlsforge.errors import EmptyDataset, MalformedReport, MissingDirectory
 from hlsforge.frontends import empty_assignment
 from hlsforge.optdsl import enumerate_design_space, iter_assignments, parse_opt_template
 from conftest import SIMPLE_TEMPLATE, make_design
@@ -125,3 +128,20 @@ def test_validate_design_files_reports_missing(tmp_path):
     design = load_dataset(root).designs[0]
     assert validate_design_files(design, ("mock_manifest.json",)) == []
     assert validate_design_files(design, ("mock_manifest.json", "absent.tcl")) == ["absent.tcl"]
+
+
+def test_write_json_layout_and_read_json_round_trip(tmp_path):
+    payload = {"b": [1, 2.5, None], "a": {"x": "y"}}
+    path = write_json(tmp_path / "p.json", payload)
+    assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+    assert read_json(path) == payload
+    assert read_json(tmp_path / "absent.json") is None
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"{nope", b"[1, 2]", b'"x"', b"null"],
+                         ids=["undecodable", "invalid", "list", "string", "null"])
+def test_read_json_names_the_file_it_cannot_read_as_an_object(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(MalformedReport, match=f"^{path}: "):
+        read_json(path)

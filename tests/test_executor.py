@@ -9,6 +9,7 @@ import random
 import pytest
 
 import hlsforge.executor as executor
+from hlsforge import pool
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.executor import (
     Timeline,
@@ -136,6 +137,14 @@ def test_pinning_is_recorded(tmp_path):
     assert set(timeline.pinning) <= {0, 1}
     for core in timeline.pinning.values():
         assert core is None or isinstance(core, int)
+
+
+def test_pinning_chooses_among_the_allowed_cores(monkeypatch):
+    requested = []
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {3, 2})
+    monkeypatch.setattr(pool.os, "sched_setaffinity", lambda pid, cores: requested.append(cores))
+    assert [pool.pin_to_core(index) for index in range(3)] == [2, 3, 2]
+    assert requested == [{2}, {3}, {2}]
 
 
 def test_shared_clock_accumulates_timeline(tmp_path):

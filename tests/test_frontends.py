@@ -395,6 +395,28 @@ def test_an_id_held_on_disk_by_another_assignment_is_refused(tmp_path, monkeypat
     assert tree_bytes(kept.dir) == before
 
 
+@pytest.mark.parametrize("payload", [b"[1, 2]", b"{nope", b"\xff\xfe\x00"],
+                         ids=["non-object", "invalid", "undecodable"])
+def test_reexpanding_over_an_unreadable_design_file_keeps_the_base(tmp_path, payload):
+    root = tmp_path / "ds"
+    make_design(root, "d")
+    layout = WorkspaceLayout(tmp_path / "w")
+    config = FrontendConfig(n_samples=3, seed=2)
+    first = execute_frontend({"ds": load_dataset(root)}, config, layout)
+    ids = [design.id for design in first.collection["ds__post_frontend"].designs]
+    spoiled = first.collection["ds__post_frontend"].designs[0].dir / "data_design.json"
+    intact = spoiled.read_bytes()
+    spoiled.write_bytes(payload)
+
+    again = execute_frontend({"ds": load_dataset(root)}, config, layout)
+
+    assert not again.failures
+    assert [design.id for design in again.collection["ds__post_frontend"].designs] == ids
+    assert sorted(path.name for path in (tmp_path / "w" / "ds__post_frontend").iterdir()) \
+        == sorted(ids)
+    assert spoiled.read_bytes() == intact
+
+
 def test_a_lowering_error_in_the_pool_leaves_other_bases_lowered(tmp_path, monkeypatch):
     monkeypatch.setattr(frontends, "local_workers", lambda: 2)
     # half of m's points use a directive intel cannot lower
