@@ -12,7 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import struct
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -24,6 +27,7 @@ from .core import (
     json_fits,
     list_post_frontend,
     read_json,
+    replace_on_success,
     walk_files,
     write_json,
 )
@@ -331,47 +335,70 @@ def _cell(value) -> str:
 
 
 def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> Path:
-    """Write the table as csv or jsonl; repeated exports are byte-identical."""
+    """Write the table as csv or jsonl, row by row; repeated exports are
+    byte-identical, and path changes only once the whole table is written."""
     path = Path(path)
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for row in table.rows:
-            writer.writerow([_cell(getattr(row, name)) for name in COLUMNS])
-        path.write_text(buf.getvalue())
-    elif format == "jsonl":
-        lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row.as_dict()})
-                 for row in table.rows]
-        path.write_text("".join(line + "\n" for line in lines))
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown export format {format!r}")
+    with replace_on_success(path) as tmp, open(tmp, "w") as handle:
+        if format == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(COLUMNS)
+            for row in table.rows:
+                writer.writerow([_cell(getattr(row, name)) for name in COLUMNS])
+        else:
+            for row in table.rows:
+                record = {"schema_version": SCHEMA_VERSION, **row.as_dict()}
+                handle.write(json.dumps(record) + "\n")
     return path
 
 
 def _coerce(column: str, value):
+    """An imported cell as its column's type; an integer column takes any number."""
     if value is None or value == "":
         return None
     kind = _COLUMN_TYPES[column]
     return int(float(value)) if kind is int else kind(value)
 
 
+def _csv_value(column: str, text: str | None):
+    """A CSV cell read back as export_tabular wrote it: an int column takes only
+    an integer literal."""
+    if text is None or text == "":
+        return None
+    return _COLUMN_TYPES[column](text)
+
+
+def _jsonl_value(column: str, value):
+    """A JSONL value read back as export_tabular wrote it: only a value of the
+    column's JSON type (core.json_fits) is taken."""
+    if value is None or value == "":
+        return None
+    kind = _COLUMN_TYPES[column]
+    if not json_fits(value, kind):
+        raise ValueError(f"column {column!r} holds {value!r}, not {kind.__name__}")
+    return float(value) if kind is float else value
+
+
 def load_table(path: Path) -> AggregatedTable:
     """Read back a csv/jsonl export (column types restored from the schema).
 
     Raises SourceUnreadable when the file is absent, and MalformedReport naming
-    the file when a line or cell cannot be read back.
+    the file when a line or cell cannot be read back as export_tabular writes
+    it (an int cell "2.5", a JSONL ``true`` in an int column, ...).
     """
     path = Path(path)
     rows = []
     try:
         with path.open(newline="") as handle:
-            records = (map(json.loads, filter(str.strip, handle)) if path.suffix == ".jsonl"
-                       else csv.DictReader(handle))
+            if path.suffix == ".jsonl":
+                records, value = map(json.loads, filter(str.strip, handle)), _jsonl_value
+            else:
+                records, value = csv.DictReader(handle), _csv_value
             for record in records:
                 row = AggregatedRow()
                 for name in COLUMNS:
-                    setattr(row, name, _coerce(name, record.get(name)))
+                    setattr(row, name, value(name, record.get(name)))
                 rows.append(row)
     except FileNotFoundError as exc:
         raise SourceUnreadable(f"table file {path} does not exist") from exc
@@ -477,6 +504,7 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
 
 
 _ARCHIVED_SUFFIXES = (*SOURCE_SUFFIXES, ".tcl")
+_ARTIFACT_DIR = "hls_prj"
 
 
 def _archived(rel: str, include_artifacts: bool) -> bool:
@@ -484,7 +512,7 @@ def _archived(rel: str, include_artifacts: bool) -> bool:
     data_*.json files, opt.tcl and sources; files under hls_prj/ only with
     include_artifacts."""
     parts = rel.split("/")
-    if "hls_prj" in parts:
+    if _ARTIFACT_DIR in parts:
         return include_artifacts
     name = parts[-1]
     return (name == "timeline.json" or name == "opt.tcl"
@@ -493,19 +521,90 @@ def _archived(rel: str, include_artifacts: bool) -> bool:
             or name[1:].endswith(_ARCHIVED_SUFFIXES))
 
 
+# Every member's fixed fields, on which the archive's pinned bytes rest:
+# deflated at level 6, dated 1980-01-01 00:00:00 (DOS date 0x21, time 0),
+# made on Unix with mode 0644.
+_DEFLATE_LEVEL = 6
+_DOS_TIME, _DOS_DATE = 0, (1 << 5) | 1
+_UNIX, _MODE_0644 = 3, 0o644 << 16
+_UTF8_NAME = 0x800  # general-purpose flag bit 11: the name is UTF-8
+
+
+def _write_member(out, rel: str, data: bytes, offset: int) -> bytes:
+    """Write the member rel at offset as zipfile.ZipFile.writestr does, but in
+    one pass: deflate first, then the final local header and the data.
+
+    Returns the member's central-directory record. The zip64 fields follow
+    zipfile: a local zip64 extra when the data may outgrow ZIP64_LIMIT
+    (size * 1.05), and a central one for sizes or an offset past it.
+    """
+    limit = zipfile.ZIP64_LIMIT  # read per call, as zipfile does
+    deflate = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
+    packed = deflate.compress(data) + deflate.flush()
+    info = zipfile.ZipInfo(rel, date_time=(1980, 1, 1, 0, 0, 0))
+    info.create_system, info.external_attr = _UNIX, _MODE_0644
+    info.compress_type = zipfile.ZIP_DEFLATED
+    info.file_size, info.compress_size, info.CRC = len(data), len(packed), zlib.crc32(data)
+    # a local zip64 extra also raises info's versions to ZIP64_VERSION
+    out.write(info.FileHeader(info.file_size * 1.05 > limit))
+    out.write(packed)
+
+    file_size, compress_size, header_offset = info.file_size, info.compress_size, offset
+    zip64 = []
+    if file_size > limit or compress_size > limit:
+        zip64 += [file_size, compress_size]
+        file_size = compress_size = 0xFFFFFFFF
+    if offset > limit:
+        zip64.append(offset)
+        header_offset = 0xFFFFFFFF
+    extra = struct.pack(f"<HH{len(zip64)}Q", 1, 8 * len(zip64), *zip64) if zip64 else b""
+    version = zipfile.ZIP64_VERSION if zip64 else 0
+    name = rel.encode()
+    return struct.pack(
+        zipfile.structCentralDir, zipfile.stringCentralDir,
+        max(version, info.create_version), _UNIX, max(version, info.extract_version), 0,
+        0 if rel.isascii() else _UTF8_NAME, zipfile.ZIP_DEFLATED, _DOS_TIME, _DOS_DATE,
+        info.CRC, compress_size, file_size, len(name), len(extra), 0, 0, 0, _MODE_0644,
+        header_offset) + name + extra
+
+
+def _write_end(out, count: int, size: int, start: int) -> None:
+    """The end records of a central directory of count members and size bytes
+    at offset start; zip64 ones first when zipfile would write them."""
+    limit = zipfile.ZIP64_LIMIT
+    if count > zipfile.ZIP_FILECOUNT_LIMIT or start > limit or size > limit:
+        out.write(struct.pack(zipfile.structEndArchive64, zipfile.stringEndArchive64,
+                              44, 45, 45, 0, 0, count, count, size, start))
+        out.write(struct.pack(zipfile.structEndArchive64Locator,
+                              zipfile.stringEndArchive64Locator, 0, start + size, 1))
+        count, size, start = min(count, 0xFFFF), min(size, 0xFFFFFFFF), min(start, 0xFFFFFFFF)
+    out.write(struct.pack(zipfile.structEndArchive, zipfile.stringEndArchive,
+                          0, 0, count, count, size, start, 0))
+
+
 def archive_dataset(work_dir: Path, out_path: Path, include_artifacts: bool = False) -> Path:
-    """Zip the work tree's data files deterministically (sorted, zeroed timestamps)."""
+    """Zip the work tree's data files deterministically (sorted, zeroed timestamps).
+
+    The bytes are those zipfile writes for the same members, zip64 records
+    included, but each member is written once and only its central-directory
+    record is kept until the end. hls_prj/ is not walked unless
+    include_artifacts, and out_path changes only once the archive is complete.
+    """
     work_dir = Path(work_dir)
     if not work_dir.is_dir():
         raise MissingDirectory(f"work directory {work_dir} does not exist")
-    members = sorted(rel for rel in walk_files(work_dir) if _archived(rel, include_artifacts))
+    skip = () if include_artifacts else (_ARTIFACT_DIR,)
+    members = sorted(rel for rel in walk_files(work_dir, skip)
+                     if _archived(rel, include_artifacts))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(out_path, "w") as zf:
+    with replace_on_success(out_path) as tmp, open(tmp, "wb") as out:
+        central = bytearray()
+        offset = 0
         for rel in members:
-            info = zipfile.ZipInfo(rel, date_time=(1980, 1, 1, 0, 0, 0))
-            info.external_attr = 0o644 << 16
-            info.create_system = 3
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, (work_dir / rel).read_bytes(), compresslevel=6)
+            with open(os.path.join(work_dir, rel), "rb") as member:
+                central += _write_member(out, rel, member.read(), offset)
+            offset = out.tell()
+        out.write(central)
+        _write_end(out, len(members), len(central), offset)
     return out_path

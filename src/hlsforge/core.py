@@ -12,7 +12,8 @@ import hashlib
 import json
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args
@@ -106,13 +107,14 @@ def design_dir(design) -> Path:
     return design.dir if isinstance(design, ConcreteDesign) else design.source_dir
 
 
-def walk_files(root: Path) -> Iterator[str]:
+def walk_files(root: Path, skip_dirs: Collection[str] = ()) -> Iterator[str]:
     """Relative POSIX paths of the regular files under root, in no set order.
 
     One os.scandir per directory, holding only the directories still to
-    visit. As with Path.rglob and Path.is_file: a symlink to a file is a file,
-    a symlink to a directory is not descended, broken or looping links are
-    skipped, and so is a directory that cannot be listed.
+    visit; a directory named in skip_dirs is not listed. As with Path.rglob
+    and Path.is_file: a symlink to a file is a file, a symlink to a directory
+    is not descended, broken or looping links are skipped, and so is a
+    directory that cannot be listed.
     """
     pending = [""]
     while pending:
@@ -125,7 +127,8 @@ def walk_files(root: Path) -> Iterator[str]:
             for entry in entries:
                 rel = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
-                    pending.append(rel + "/")
+                    if entry.name not in skip_dirs:
+                        pending.append(rel + "/")
                     continue
                 try:
                     is_file = entry.is_file()
@@ -223,10 +226,34 @@ def json_fits(value, hint) -> bool:
 
 
 def write_json(path: Path, obj) -> Path:
-    """Write obj as JSON in the work tree's one layout: two-space indent, final newline."""
+    """Write obj as JSON in the work tree's one layout: two-space indent, final newline.
+
+    The text is encoded straight into the file, never held whole.
+    """
     path = Path(path)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=2)
+        handle.write("\n")
     return path
+
+
+@contextmanager
+def replace_on_success(path: Path) -> Iterator[Path]:
+    """A hidden sibling temp path to write path's new content to.
+
+    When the block completes, the temp file replaces path in one os.replace;
+    when it raises, the temp file is removed and path keeps its old content.
+    The temp name starts with a dot and ends in ``.tmp``, so neither the
+    archive nor the design file listing takes it up.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_post_frontend(work_dir: Path) -> DatasetCollection:

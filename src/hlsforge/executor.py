@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .core import DatasetCollection, design_identity, write_json
+from .core import DatasetCollection, design_identity, replace_on_success, write_json
 from .pool import current_worker, fork_map, pin_to_core
 from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
 
@@ -166,7 +166,8 @@ def simulate_schedule(durations: list[list[float]], n_workers: int,
 
 
 def write_timeline(path: Path, timeline: Timeline) -> Path:
-    """Serialize as a flat list of records (stable field order)."""
+    """Serialize as a flat list of records (stable field order); path changes
+    only once the whole list is written."""
     payload = [{
         "design_id": r.job.design_id,
         "dataset": r.job.dataset_name,
@@ -176,7 +177,9 @@ def write_timeline(path: Path, timeline: Timeline) -> Path:
         "end_s": r.end_s,
         "status": r.status,
     } for r in timeline.records]
-    return write_json(path, payload)
+    with replace_on_success(path) as tmp:
+        write_json(tmp, payload)
+    return Path(path)
 
 
 def utilization_rows(timeline: Timeline) -> list[dict]:

@@ -13,6 +13,7 @@ strict range extensions on the far ends.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -259,6 +260,20 @@ def demo(tmp_path_factory):
     table = load_table(out / "aggregated.csv")
     return SimpleNamespace(out=out, elapsed=elapsed, table=table,
                            rows={row.design_id: row for row in table.rows})
+
+
+# sha256 of the demo's exports (4 samples, seed 42); the dataset bytes must not
+# change with how the exports are written
+PINNED_DEMO_EXPORTS = {
+    "aggregated.csv": "68373eab426f69060b41f3a97e61dd673933ce84bcd15d626299e3ef9381b62f",
+    "aggregated.jsonl": "479511e27d480309a76bbb9ec4a3565fcaa7610c65fdbae3533b31f553c1dbfb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMO_EXPORTS))
+def test_demo_export_bytes_are_pinned(demo, name):
+    digest = hashlib.sha256((demo.out / name).read_bytes()).hexdigest()
+    assert digest == PINNED_DEMO_EXPORTS[name]
 
 
 def test_criterion_07_demo_counts_and_spot_checked_metrics(capsys, demo):

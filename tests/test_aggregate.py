@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
+import random
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +30,9 @@ from hlsforge.aggregate import (
     read_standard_json,
     row_from_design_dir,
     write_standard_json,
+    _archived,
 )
+from hlsforge.core import walk_files
 from hlsforge.errors import MalformedReport, MalformedSpec, MissingDirectory, MissingField, SourceUnreadable
 
 GOOD_XML = """\
@@ -325,3 +332,161 @@ def test_archive_is_deterministic(tmp_path):
     assert a == b
     with pytest.raises(MissingDirectory):
         archive_dataset(tmp_path / "missing", tmp_path / "c.zip")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("fraction.csv", "design_id,hls_lut\na,2.5\n"),
+    ("bool.jsonl", '{"design_id": "a", "hls_lut": true}\n'),
+    ("float-in-int.jsonl", '{"design_id": "a", "hls_lut": 2.0}\n'),
+    ("text-in-float.jsonl", '{"design_id": "a", "impl_wns_ns": "3.5"}\n'),
+    ("number-in-text.jsonl", '{"design_id": 7}\n'),
+], ids=["csv-fraction", "jsonl-bool", "jsonl-float-in-int", "jsonl-text-in-float",
+        "jsonl-number-in-text"])
+def test_load_table_takes_only_what_the_exports_write(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(MalformedReport, match=f"table file {path}: "):
+        load_table(path)
+
+
+def test_load_table_reads_an_integer_as_a_float_in_a_jsonl_float_column(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"design_id": "a", "impl_wns_ns": 3, "hls_lut": 4}\n')
+    row = load_table(path).rows[0]
+    assert (row.impl_wns_ns, row.hls_lut) == (3.0, 4)
+    assert type(row.impl_wns_ns) is float
+
+
+def test_import_external_dataset_takes_any_number_in_an_integer_column(tmp_path):
+    src = tmp_path / "ext.csv"
+    src.write_text("luts\n2.5\n3\n1e3\n")
+    spec = {"name": "n", "format": "csv", "columns": {"luts": "hls_lut"}}
+    result = import_external_dataset(spec, src)
+    assert [r.hls_lut for r in result.rows] == [2, 3, 1000]
+    assert result.n_dropped == 0
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be written")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_failed_export_leaves_the_old_file(tmp_path, fmt):
+    path = export_tabular(AggregatedTable([AggregatedRow(design_id="old")]), tmp_path / f"t.{fmt}",
+                          format=fmt)
+    before = path.read_bytes()
+    rows = [AggregatedRow(design_id=f"r{i}") for i in range(3)]
+    rows[1].base_name = Unprintable()
+    with pytest.raises((RuntimeError, TypeError)):
+        export_tabular(AggregatedTable(rows), path, format=fmt)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def zipfile_archive(work_dir, out_path, include_artifacts=False):
+    """The archive as zipfile writes it: the reference for the one-pass writer."""
+    members = sorted(rel for rel in walk_files(work_dir) if _archived(rel, include_artifacts))
+    with zipfile.ZipFile(out_path, "w") as zf:
+        for rel in members:
+            info = zipfile.ZipInfo(rel, date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o644 << 16
+            info.create_system = 3
+            info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, (work_dir / rel).read_bytes(), compresslevel=6)
+    return out_path
+
+
+def zip64_tree(tmp_path):
+    """A work tree whose members are of every size class around a 300-byte ZIP64_LIMIT."""
+    work = populate_work_tree(tmp_path)
+    design = work / "ds__post_frontend" / "a__11111111"
+    rng = random.Random(7)
+    noise = lambda n: bytes(rng.randrange(256) for _ in range(n))  # noqa: E731
+    (design / "small.c").write_bytes(noise(100))
+    (design / "near.c").write_bytes(noise(290))    # 290 * 1.05 > 300: a local zip64 extra
+    (design / "big.c").write_text("int x;\n" * 100)  # 700 bytes, compresses below 300
+    (design / "huge.h").write_bytes(noise(400))    # both sizes past the limit
+    (design / "ünï.c").write_text("int u;\n")        # a UTF-8 name
+    (design / "hls_prj" / "blob.c").write_bytes(noise(500))
+    return work
+
+
+@pytest.mark.parametrize("include_artifacts", [False, True])
+def test_archive_bytes_equal_zipfiles_past_zip64_limit(tmp_path, monkeypatch, include_artifacts):
+    work = zip64_tree(tmp_path)
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 300)
+    ours = archive_dataset(work, tmp_path / "ours.zip", include_artifacts).read_bytes()
+    theirs = zipfile_archive(work, tmp_path / "theirs.zip", include_artifacts).read_bytes()
+    assert ours == theirs
+    assert b"PK\x06\x06" in ours  # the zip64 end record: the directory starts past the limit
+    with zipfile.ZipFile(tmp_path / "ours.zip") as zf:
+        assert zf.testzip() is None
+        assert "ds__post_frontend/a__11111111/ünï.c" in zf.namelist()
+
+
+@pytest.mark.parametrize("include_artifacts", [False, True])
+def test_archive_bytes_equal_zipfiles_past_the_file_count_limit(tmp_path, monkeypatch,
+                                                                include_artifacts):
+    work = populate_work_tree(tmp_path)
+    for i in range(4):
+        (work / "ds__post_frontend" / "a__11111111" / f"empty{i}.c").touch()
+    monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 3)
+    ours = archive_dataset(work, tmp_path / "ours.zip", include_artifacts).read_bytes()
+    theirs = zipfile_archive(work, tmp_path / "theirs.zip", include_artifacts).read_bytes()
+    assert ours == theirs
+    assert b"PK\x06\x06" in ours
+    with zipfile.ZipFile(tmp_path / "ours.zip") as zf:
+        assert zf.testzip() is None
+        assert len(zf.namelist()) > 3
+
+
+@pytest.mark.parametrize("include_artifacts", [False, True])
+def test_archive_lists_hls_prj_only_with_artifacts(tmp_path, monkeypatch, include_artifacts):
+    work = populate_work_tree(tmp_path)
+    listed = []
+    scandir = os.scandir
+
+    def counting_scandir(path):
+        listed.append(Path(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", counting_scandir)
+    archive_dataset(work, tmp_path / "out.zip", include_artifacts)
+    in_prj = [path for path in listed if "hls_prj" in path.parts]
+    assert bool(in_prj) == include_artifacts
+    assert listed  # the walk went through os.scandir
+
+
+def test_an_archive_inside_the_work_tree_holds_the_same_members(tmp_path):
+    work = populate_work_tree(tmp_path)
+    outside = archive_dataset(work, tmp_path / "outside.zip").read_bytes()
+    for _ in range(2):  # the second run finds the first one's archive in the tree
+        inside = archive_dataset(work, work / "dataset.zip").read_bytes()
+        assert inside == outside
+    assert sorted(p.name for p in work.iterdir()) == ["dataset.zip", "ds__post_frontend",
+                                                      "timeline.json"]
+
+
+def test_a_failed_member_read_leaves_the_old_archive(tmp_path, monkeypatch):
+    work = populate_work_tree(tmp_path)
+    out = archive_dataset(work, tmp_path / "out" / "dataset.zip")
+    before = out.read_bytes()
+    (work / "ds__post_frontend" / "a__11111111" / "b.c").write_text("int b;\n")
+    reads = []
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if mode == "rb" and Path(file).is_relative_to(work):
+            reads.append(file)
+            if len(reads) == 3:
+                raise OSError("read failed")
+        return real_open(file, mode, *args, **kwargs)
+
+    # Path.open calls io.open, the open builtin is the same function
+    monkeypatch.setattr(io, "open", failing_open)
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="read failed"):
+        archive_dataset(work, out)
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ["dataset.zip"]

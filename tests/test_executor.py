@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -12,6 +13,8 @@ import hlsforge.executor as executor
 from hlsforge import pool
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.executor import (
+    ExecutionRecord,
+    Job,
     Timeline,
     execute,
     execute_parallel_fine_grained,
@@ -232,6 +235,33 @@ def test_write_timeline_schema(tmp_path):
                                "status"}
     starts = [entry["start_s"] for entry in payload]
     assert starts == sorted(starts)
+
+
+def test_write_timeline_bytes_are_pinned(tmp_path):
+    # recorded before the timeline was encoded straight into its file
+    timeline = Timeline(2, [
+        ExecutionRecord(Job("a__0000beef", "ds__post_frontend", "mock_hls_synth"), 0,
+                        0.0, 0.125, "ok"),
+        ExecutionRecord(Job("a__0000beef", "ds__post_frontend", "mock_impl"), 0,
+                        0.125, 0.250015, "timeout"),
+        ExecutionRecord(Job("b__cafe0001", "ds__post_frontend", "mock_hls_synth"), 1,
+                        0.0625, 3.0000000000000004, "failed"),
+    ])
+    path = write_timeline(tmp_path / "timeline.json", timeline)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0a078d4405a4d1e58470f35ef3b759b8d24049f0b52cb0bd3596c87c80231c00")
+    assert write_timeline(path, Timeline(1)).read_text() == "[]\n"
+
+
+def test_a_failed_timeline_write_leaves_the_old_file(tmp_path):
+    path = write_timeline(tmp_path / "timeline.json", Timeline(1))
+    job = Job("a", "ds", "flow")
+    timeline = Timeline(1, [ExecutionRecord(job, 0, 0.0, 1.0, "ok"),
+                            ExecutionRecord(job, 0, 1.0, object(), "ok")])
+    with pytest.raises(TypeError):
+        write_timeline(path, timeline)
+    assert path.read_text() == "[]\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["timeline.json"]
 
 
 def test_utilization_rows_cover_all_workers(tmp_path):

@@ -7,6 +7,8 @@ change to how they are declared cannot change what they are.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from hlsforge.aggregate import COLUMNS, AggregatedRow, AggregatedTable, export_tabular, load_table
@@ -64,6 +66,21 @@ def test_round_trip_restores_each_column_type(tmp_path, fmt):
     for row in loaded.rows:
         for name in PINNED_COLUMNS:
             assert type(getattr(row, name)) is PINNED_TYPES[name], name
+
+
+# sha256 of the exports of full_row(0), full_row(1), full_row(2) and an all-null
+# row, recorded before the exports were written row by row
+PINNED_EXPORTS = {
+    "csv": "ccb4aeb76dbf4ea37370b79e3fca57e310cc454dcbd8241af8d5f71c720cf7cd",
+    "jsonl": "d1a1cff4b0898d3d8520223237fb889651a91b1ecce6df215e01756171f7f202",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_export_bytes_are_pinned(tmp_path, fmt):
+    table = AggregatedTable([full_row(i) for i in range(3)] + [AggregatedRow()])
+    path = export_tabular(table, tmp_path / f"t.{fmt}", format=fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_EXPORTS[fmt]
 
 
 def test_round_trip_keeps_nulls(tmp_path):
