@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import os
+import shutil
 import struct
+import tempfile
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields, make_dataclass
@@ -138,7 +140,7 @@ AggregatedRow = make_dataclass(
         "has_hls": property(lambda row: row.hls_lut is not None),
         "has_impl": property(lambda row: row.impl_lut is not None),
         "as_dict": _row_as_dict,
-    })
+    }, slots=True)
 
 
 @dataclass
@@ -586,25 +588,29 @@ def archive_dataset(work_dir: Path, out_path: Path, include_artifacts: bool = Fa
     """Zip the work tree's data files deterministically (sorted, zeroed timestamps).
 
     The bytes are those zipfile writes for the same members, zip64 records
-    included, but each member is written once and only its central-directory
-    record is kept until the end. hls_prj/ is not walked unless
+    included, but each member is written once, as the sorted walk yields it,
+    and its central-directory record goes to an unnamed temporary file beside
+    out_path, copied in after the last member: no member list and no central
+    directory is held in memory. hls_prj/ is not walked unless
     include_artifacts, and out_path changes only once the archive is complete.
     """
     work_dir = Path(work_dir)
     if not work_dir.is_dir():
         raise MissingDirectory(f"work directory {work_dir} does not exist")
     skip = () if include_artifacts else (_ARTIFACT_DIR,)
-    members = sorted(rel for rel in walk_files(work_dir, skip)
-                     if _archived(rel, include_artifacts))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with replace_on_success(out_path) as tmp, open(tmp, "wb") as out:
-        central = bytearray()
-        offset = 0
-        for rel in members:
-            with open(os.path.join(work_dir, rel), "rb") as member:
-                central += _write_member(out, rel, member.read(), offset)
-            offset = out.tell()
-        out.write(central)
-        _write_end(out, len(members), len(central), offset)
+    with replace_on_success(out_path) as tmp, open(tmp, "wb") as out, \
+            tempfile.TemporaryFile(dir=out_path.parent) as central:
+        count = offset = 0
+        for rel in walk_files(work_dir, skip):
+            if _archived(rel, include_artifacts):
+                with open(os.path.join(work_dir, rel), "rb") as member:
+                    central.write(_write_member(out, rel, member.read(), offset))
+                offset = out.tell()
+                count += 1
+        size = central.tell()
+        central.seek(0)
+        shutil.copyfileobj(central, out)
+        _write_end(out, count, size, offset)
     return out_path

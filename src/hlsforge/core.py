@@ -9,6 +9,7 @@ aggregation operate on that tree.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -31,6 +32,7 @@ COMPILED_SUFFIXES = (".c", ".cc", ".cpp", ".cxx")
 SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_JSON_BLOCK_TOKENS = 4096
 
 
 @dataclass(frozen=True)
@@ -108,34 +110,49 @@ def design_dir(design) -> Path:
 
 
 def walk_files(root: Path, skip_dirs: Collection[str] = ()) -> Iterator[str]:
-    """Relative POSIX paths of the regular files under root, in no set order.
+    """Relative POSIX paths of the regular files under root, in path-string
+    order: the order sorted() gives the whole list.
 
-    One os.scandir per directory, holding only the directories still to
-    visit; a directory named in skip_dirs is not listed. As with Path.rglob
-    and Path.is_file: a symlink to a file is a file, a symlink to a directory
-    is not descended, broken or looping links are skipped, and so is a
-    directory that cannot be listed.
+    One os.scandir per directory; only the sorted listings of the directories
+    on the current path are held. A directory named in skip_dirs is not
+    listed. As with Path.rglob and Path.is_file: a symlink to a file is a
+    file, a symlink to a directory is not descended, broken or looping links
+    are skipped, and so is a directory that cannot be listed.
     """
-    pending = [""]
-    while pending:
-        prefix = pending.pop()
-        try:
-            entries = os.scandir(os.path.join(root, prefix))
-        except (FileNotFoundError, NotADirectoryError, PermissionError):
-            continue
-        with entries:
-            for entry in entries:
-                rel = prefix + entry.name
-                if entry.is_dir(follow_symlinks=False):
-                    if entry.name not in skip_dirs:
-                        pending.append(rel + "/")
-                    continue
-                try:
-                    is_file = entry.is_file()
-                except OSError:  # a symlink loop, which Path.is_file also skips
-                    continue
-                if is_file:
-                    yield rel
+    listings = [iter(_sorted_listing(root, "", skip_dirs))]
+    while listings:
+        for rel in listings[-1]:
+            if rel.endswith("/"):  # a directory: its files come before the next entry
+                listings.append(iter(_sorted_listing(root, rel, skip_dirs)))
+                break
+            yield rel
+        else:
+            listings.pop()
+
+
+def _sorted_listing(root: Path, prefix: str, skip_dirs: Collection[str]) -> list[str]:
+    """The files and directories of root/prefix as prefixed paths, a directory's
+    with a trailing "/", sorted. Since no name holds "/", a directory's key
+    orders every path under it exactly as sorted() orders the full paths."""
+    try:
+        entries = os.scandir(os.path.join(root, prefix))
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+    rels = []
+    with entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                if entry.name not in skip_dirs:
+                    rels.append(f"{prefix}{entry.name}/")
+                continue
+            try:
+                is_file = entry.is_file()
+            except OSError:  # a symlink loop, which Path.is_file also skips
+                continue
+            if is_file:
+                rels.append(prefix + entry.name)
+    rels.sort()
+    return rels
 
 
 def list_design_files(root: Path) -> tuple[str, ...]:
@@ -228,11 +245,15 @@ def json_fits(value, hint) -> bool:
 def write_json(path: Path, obj) -> Path:
     """Write obj as JSON in the work tree's one layout: two-space indent, final newline.
 
-    The text is encoded straight into the file, never held whole.
+    The text is encoded straight into the file in blocks of at most
+    _JSON_BLOCK_TOKENS tokens, never held whole: json.dump would make one
+    write per token.
     """
     path = Path(path)
+    tokens = json.JSONEncoder(indent=2).iterencode(obj)
     with open(path, "w") as handle:
-        json.dump(obj, handle, indent=2)
+        while block := "".join(itertools.islice(tokens, _JSON_BLOCK_TOKENS)):
+            handle.write(block)
         handle.write("\n")
     return path
 

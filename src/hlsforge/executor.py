@@ -29,14 +29,14 @@ from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
 STRATEGIES = ("fine_grained", "naive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     design_id: str
     dataset_name: str
     flow_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     job: Job
     worker_index: int

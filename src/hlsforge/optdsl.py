@@ -65,7 +65,7 @@ class OptTemplate:
     templates: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selection:
     """One resolved axis: a directive line plus the chosen parameter token."""
 

@@ -160,7 +160,7 @@ class ToolFlowSpec:
     constants: MockCostConstants = MockCostConstants()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowOutcome:
     design_id: str
     flow_name: str

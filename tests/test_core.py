@@ -19,12 +19,14 @@ from hlsforge.core import (
     load_dataset,
     read_json,
     validate_design_files,
+    walk_files,
     write_json,
 )
 from hlsforge.errors import EmptyDataset, MalformedReport, MissingDirectory
 from hlsforge.frontends import empty_assignment
 from hlsforge.optdsl import enumerate_design_space, iter_assignments, parse_opt_template
 from conftest import SIMPLE_TEMPLATE, make_design
+from test_tree_pins import build_tree
 
 
 def test_load_dataset_sorts_designs(tmp_path):
@@ -131,10 +133,12 @@ def test_validate_design_files_reports_missing(tmp_path):
 
 
 def test_write_json_layout_and_read_json_round_trip(tmp_path):
-    payload = {"b": [1, 2.5, None], "a": {"x": "y"}}
-    path = write_json(tmp_path / "p.json", payload)
-    assert path.read_text() == json.dumps(payload, indent=2) + "\n"
-    assert read_json(path) == payload
+    # the second payload spans more than one of the blocks write_json writes
+    for payload in ({"b": [1, 2.5, None], "a": {"x": "y"}},
+                    {"rows": [{"i": i, "s": "x" * (i % 7)} for i in range(2000)]}):
+        path = write_json(tmp_path / "p.json", payload)
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert read_json(path) == payload
     assert read_json(tmp_path / "absent.json") is None
 
 
@@ -145,3 +149,16 @@ def test_read_json_names_the_file_it_cannot_read_as_an_object(tmp_path, content)
     path.write_bytes(content)
     with pytest.raises(MalformedReport, match=f"^{path}: "):
         read_json(path)
+
+
+def test_walk_files_yields_paths_in_sorted_order(tmp_path):
+    # the archive's member order and so its bytes rest on this order
+    root = build_tree(tmp_path / "work")
+    d1 = root / "ds__post_frontend" / "d1"
+    # names that sort before "/" (" ", "+", "-", ".") and after it beside directory a/
+    for name in ("a-b", "a b", "a+", "a0.c", "a_b.c", "\u00e4.c", "a-d/k.c", "a_d/k.c"):
+        (d1 / name).parent.mkdir(exist_ok=True)
+        (d1 / name).write_text("x\n")
+    walked = list(walk_files(root))
+    assert walked == sorted(walked)
+    assert len(walked) == len(set(walked)) == 28

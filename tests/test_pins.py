@@ -1,19 +1,26 @@
-"""Pins of the table schema and of the flow specs built from a run config.
+"""Pins of the table schema, of the flow specs built from a run config and of
+the slotted per-design records.
 
 These fix today's column names and order, the column types a reloaded table
 carries, and the exact ToolFlowSpec every external flow type produces, so a
-change to how they are declared cannot change what they are.
+change to how they are declared cannot change what they are. The records a
+run keeps one or more of per design in its main process carry no
+per-instance __dict__.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
+from pathlib import Path
 
 import pytest
 
 from hlsforge.aggregate import COLUMNS, AggregatedRow, AggregatedTable, export_tabular, load_table
 from hlsforge.cli import build_flow_specs
-from hlsforge.toolflows import KIND_EXTERNAL, ToolFlowSpec
+from hlsforge.executor import ExecutionRecord, Job
+from hlsforge.optdsl import Selection
+from hlsforge.toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec
 
 PINNED_COLUMNS = (
     "design_id", "base_name", "dataset", "vendor",
@@ -123,3 +130,27 @@ PINNED_ENV = (("A", "1"), ("B", "2"))
 ])
 def test_external_flow_specs_are_pinned(raw, expected):
     assert build_flow_specs([raw]) == [expected]
+
+
+JOB = Job("a__0000beef", "ds__post_frontend", "mock_hls_synth")
+RECORDS = {
+    "AggregatedRow": AggregatedRow(design_id="a__0000beef", hls_lut=7, impl_wns_ns=0.5),
+    "Selection": Selection("g", "lp1", 0, "pipeline", "unroll", "4"),
+    "FlowOutcome": FlowOutcome("a__0000beef", "mock_hls_synth", "ok", 0.25, Path("a.log")),
+    "Job": JOB,
+    "ExecutionRecord": ExecutionRecord(JOB, 1, 0.0, 0.25, "ok"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_per_design_records_are_slotted_and_pickle(name):
+    record = RECORDS[name]
+    assert not hasattr(record, "__dict__")
+    # a frozen slotted dataclass's own __setattr__ raises TypeError for a name
+    # that is no field on CPython 3.11 (its super() names the pre-slots class)
+    with pytest.raises((AttributeError, TypeError)):
+        record.no_such_field = 1
+    with pytest.raises(AttributeError):  # no slot for it past __setattr__ either
+        object.__setattr__(record, "no_such_field", 1)
+    # FlowOutcome crosses the fork pool; a frozen slotted class needs its own pickling
+    assert pickle.loads(pickle.dumps(record)) == record
