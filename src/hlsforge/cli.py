@@ -137,7 +137,7 @@ def load_run_config(path: Path) -> RunConfig:
     executor = payload.get("executor", {})
     _expect(isinstance(executor, dict), "executor must be an object")
     strategy = executor.get("strategy", "fine_grained")
-    _expect(strategy in STRATEGIES, "executor.strategy must be fine_grained or naive")
+    _expect(strategy in STRATEGIES, f"executor.strategy must be {' or '.join(STRATEGIES)}")
     n_workers = executor.get("n_workers", local_workers())
     _expect(json_fits(n_workers, int) and n_workers >= 1,
             "executor.n_workers must be a positive integer")
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-workers", type=_positive_int, default=4)
-    p.add_argument("--strategy", choices=("fine_grained", "naive"), default="fine_grained")
+    p.add_argument("--strategy", choices=STRATEGIES, default="fine_grained")
     p.set_defaults(func=cmd_demo)
 
     return parser

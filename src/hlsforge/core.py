@@ -53,15 +53,14 @@ class AbstractDesign:
 class ConcreteDesign:
     """One lowered design-space point, rooted at its own directory.
 
-    ``assignment`` is None for designs reloaded from disk; the authoritative
-    record is the directory's data_design.json (and opt.tcl for xilinx).
+    Its assignment is recorded on disk only: the directory's data_design.json
+    (and opt.tcl for xilinx).
     """
 
     id: str
     base_name: str
     dir: Path
     vendor: str
-    assignment: DirectiveAssignment | None = None
 
 
 @dataclass

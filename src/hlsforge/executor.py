@@ -5,25 +5,24 @@ strategies: fine_grained keeps one shared FIFO queue of chains for every design
 of every dataset, so a worker that finishes early immediately takes the next
 chain regardless of which dataset it came from; naive runs the datasets one
 after another, draining the workers between them (the barrier real batch
-scripts tend to have). Chains of in-process (mock) flows hold the interpreter
-lock, so with more than one worker they run on a pool of forked processes;
-chains with an external flow run on threads, which wait on their tools'
-processes. simulate_schedule replays either policy on given durations without
-running anything, for planning and for quantifying the gap.
+scripts tend to have). Every chain runs on the one pool of forked processes
+that lowering and extraction use (pool.fork_map). Mock chains go out in
+chunks; a chain with an external flow can run for hours, so such chains go
+out one at a time and a worker takes the next only when it is free.
+simulate_schedule replays either policy on given durations without running
+anything, for planning and for quantifying the gap.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .core import DatasetCollection, design_identity, replace_on_success, write_json
-from .pool import current_worker, fork_map, pin_to_core
+from .pool import current_worker, fork_map
 from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
 
 STRATEGIES = ("fine_grained", "naive")
@@ -55,59 +54,39 @@ class Timeline:
         return max((r.end_s for r in self.records), default=0.0)
 
 
-def _run_chain(flows: tuple, origin: float, worker, design) -> tuple:
-    """Each flow on the design, in order: (worker(), [(outcome, start, end) per flow])."""
+def _run_chain(flows: tuple, origin: float, design) -> tuple:
+    """Each flow on the design, in order: (current_worker(), [(outcome, start, end) per flow])."""
     steps = []
     for flow in flows:
         start = time.monotonic() - origin
         outcome = run_flow(flow, design)
         steps.append((outcome, start, time.monotonic() - origin))
-    return worker(), steps
-
-
-def _run_threads(chain, designs: list, n_workers: int, pin_cores: bool) -> list:
-    """chain(worker, design) per design on n_workers threads, in order."""
-    from concurrent.futures import ThreadPoolExecutor  # only external chains need it
-
-    local, indices = threading.local(), itertools.count()
-
-    def start() -> None:
-        index = next(indices)
-        local.worker = index, pin_to_core(index) if pin_cores else None
-
-    with ThreadPoolExecutor(n_workers, "hlsforge-worker", start) as pool:
-        return list(pool.map(partial(chain, lambda: local.worker), designs))
+    return current_worker(), steps
 
 
 def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
-            strategy: str = "fine_grained", pin_cores: bool = False,
-            origin: float | None = None, timeline: Timeline | None = None
+            strategy: str = "fine_grained", pin_cores: bool = False
             ) -> tuple[list[list[FlowOutcome]], Timeline]:
     """Run every design's chain of flows on n_workers workers.
 
     Returns each design's outcomes, one per flow, in job order (datasets in
-    collection order, then designs in dataset order), and the timeline, which
-    gains one record per (design, flow) on the clock that starts at origin.
+    collection order, then designs in dataset order), and the timeline: one
+    record per (design, flow), on a clock that starts when this call does.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    timeline = timeline if timeline is not None else Timeline(n_workers)
-    origin = origin if origin is not None else time.monotonic()
+    timeline = Timeline(n_workers)
     flows = tuple(flows)
     jobs = [(name, design) for name, dataset in collection.items() for design in dataset.designs]
     batches = [jobs] if strategy == "fine_grained" else \
         [[job for job in jobs if job[0] == name] for name in collection]
-    in_processes = n_workers > 1 and all(flow.kind != KIND_EXTERNAL for flow in flows)
-    chain = partial(_run_chain, flows, origin)
+    chunksize = 1 if any(flow.kind == KIND_EXTERNAL for flow in flows) else None
+    chain = partial(_run_chain, flows, time.monotonic())
     chains = []
     for batch in batches:  # naive: one batch per dataset, each drained before the next
-        designs = [design for _, design in batch]
-        if in_processes:
-            done = fork_map(partial(chain, current_worker), designs, n_workers, pin_cores)
-        else:
-            done = _run_threads(chain, designs, n_workers, pin_cores)
+        done = fork_map(chain, [design for _, design in batch], n_workers, pin_cores, chunksize)
         for (dataset_name, design), ((index, core), steps) in zip(batch, done):
             if pin_cores:
                 timeline.pinning[index] = core
@@ -120,23 +99,17 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
 
 
 def execute_parallel_fine_grained(collection: DatasetCollection, flow: ToolFlowSpec,
-                                  n_workers: int, pin_cores: bool = False,
-                                  origin: float | None = None,
-                                  timeline: Timeline | None = None
+                                  n_workers: int, pin_cores: bool = False
                                   ) -> tuple[list, Timeline]:
     """One flow over one shared queue across all datasets; outcomes in job order."""
-    chains, timeline = execute(collection, [flow], n_workers, "fine_grained", pin_cores,
-                               origin, timeline)
+    chains, timeline = execute(collection, [flow], n_workers, "fine_grained", pin_cores)
     return [outcome for (outcome,) in chains], timeline
 
 
 def execute_parallel_naive(collection: DatasetCollection, flow: ToolFlowSpec,
-                           n_workers: int, pin_cores: bool = False,
-                           origin: float | None = None,
-                           timeline: Timeline | None = None) -> tuple[list, Timeline]:
+                           n_workers: int, pin_cores: bool = False) -> tuple[list, Timeline]:
     """One flow, dataset after dataset with a barrier between (the baseline policy)."""
-    chains, timeline = execute(collection, [flow], n_workers, "naive", pin_cores,
-                               origin, timeline)
+    chains, timeline = execute(collection, [flow], n_workers, "naive", pin_cores)
     return [outcome for (outcome,) in chains], timeline
 
 

@@ -197,7 +197,7 @@ def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
     design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
     (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
     _write_design_data(out_dir, design.name, design_id, "xilinx", entries)
-    return ConcreteDesign(design_id, design.name, out_dir, "xilinx", assignment.canonicalized())
+    return ConcreteDesign(design_id, design.name, out_dir, "xilinx")
 
 
 def map_directive_to_intel(line: DirectiveLine, choice: str,
@@ -242,10 +242,9 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
     """Copy sources and inject annotations after each label's anchor comment."""
     design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
 
-    canon = assignment.canonicalized()
     by_label: dict[str, list[IntelAnnotation]] = {}
     provenance: list[dict] = []
-    for sel in canon.selections:
+    for sel in assignment.canonicalized().selections:
         line = DirectiveLine(sel.line_index, sel.label, sel.fixed_directive,
                              sel.param_kind, (sel.choice,))
         elem_bytes = None
@@ -286,7 +285,7 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
 
     _write_design_data(out_dir, design.name, design_id, "intel", entries)
     write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
-    return ConcreteDesign(design_id, design.name, out_dir, "intel", canon)
+    return ConcreteDesign(design_id, design.name, out_dir, "intel")
 
 
 def _lower(design: AbstractDesign, assignment: DirectiveAssignment, layout: WorkspaceLayout,
@@ -307,7 +306,7 @@ def _pass_through(design, layout: WorkspaceLayout):
     src = design.dir if isinstance(design, ConcreteDesign) else design.source_dir
     _fresh_copy(src, out_dir)
     if isinstance(design, ConcreteDesign):
-        return ConcreteDesign(design.id, design.base_name, out_dir, design.vendor, design.assignment)
+        return ConcreteDesign(design.id, design.base_name, out_dir, design.vendor)
     return AbstractDesign(design.name, out_dir.parent.name, out_dir, design.files)
 
 
@@ -398,11 +397,11 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     produced: dict[str, list] = {}
     for base in bases:
         key = (base.dataset_name, design_identity(base.design))
-        for (assignment, design_id), failed in [(point, next(outcomes)) for point in base.points]:
+        for (_, design_id), failed in [(point, next(outcomes)) for point in base.points]:
             if failed is None:
                 base.lowered.append(ConcreteDesign(
                     design_id, base.design.name, _out_dir(layout, base.design, design_id),
-                    config.vendor, assignment.canonicalized()))
+                    config.vendor))
             elif failed[0]:
                 base.collisions.append(failed[1])
             else:

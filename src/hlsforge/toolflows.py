@@ -22,6 +22,7 @@ power_base_w + lut * power_lut_w + dsp * power_dsp_w.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -488,6 +489,10 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
                 stdout, stderr = proc.communicate()
                 status = STATUS_TIMEOUT
                 tail = f"timed out after {spec.timeout_s}s (process group killed)"
+            except BaseException:  # an interrupt: the tool's own session would outlive it
+                with contextlib.suppress(ProcessLookupError):  # the whole group has exited
+                    os.killpg(proc.pid, signal.SIGKILL)
+                raise
     except OSError as exc:
         status = STATUS_FAILED
         stdout, stderr, tail = "", str(exc), "failed to launch"

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +113,73 @@ def test_timeout_kills_the_whole_process_group(tmp_path):
     assert outcome.status == STATUS_TIMEOUT
     time.sleep(1.5)
     assert not (design.dir / "late.txt").exists()
+
+
+def test_an_interrupt_kills_the_whole_process_group(tmp_path, monkeypatch):
+    _, collection = expanded_gemm(tmp_path, n_samples=1)
+    design = collection["ds__post_frontend"].designs[0]
+    spec = custom_flow("bg", ("sh", "-c", "(sleep 1; touch late.txt) & sleep 5"))
+
+    def interrupted(self, *args, **kwargs):  # Ctrl-C while the tool runs
+        time.sleep(0.3)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_flow(spec, design)
+    time.sleep(1.5)
+    assert not (design.dir / "late.txt").exists()
+
+
+def live_processes_in_group(pgid: int) -> list[int]:
+    """Pids of the processes in a process group that have not exited (Linux /proc)."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # exited while we looked
+            continue
+        fields = stat[stat.rfind(")") + 2:].split()  # state, ppid, pgrp, ...
+        if fields and fields[0] != "Z" and int(fields[2]) == pgid:
+            live.append(int(entry.name))
+    return live
+
+
+def test_ctrl_c_stops_a_build_and_its_tools(tmp_path):
+    work, collection = expanded_gemm(tmp_path, n_samples=6)
+    designs = collection["ds__post_frontend"].designs
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(work),
+        "flows": [{"type": "custom", "name": "slow", "command": [
+            "sh", "-c", "echo $$ > tool.pid; (sleep 2; touch late.txt) & sleep 4"]}],
+        "executor": {"n_workers": 2}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    build = subprocess.Popen(
+        [sys.executable, "-m", "hlsforge.cli", "build", "--config", str(config)], env=env,
+        start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        started = []
+        while len(started) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            started = [d for d in designs if (d.dir / "tool.pid").exists()]
+        assert len(started) == 2, "two tools should be running"
+        time.sleep(0.2)  # both shells have started their background jobs
+        os.killpg(build.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
+        interrupted = time.monotonic()
+        build.communicate(timeout=30)
+        assert time.monotonic() - interrupted < 2.0  # the tools would run on for 3.5 s
+    finally:
+        if build.poll() is None:
+            os.killpg(build.pid, signal.SIGKILL)
+            build.communicate()
+    assert build.returncode != 0
+    time.sleep(2.5)  # past the time any tool running at the interrupt would touch late.txt
+    assert [d for d in designs if (d.dir / "tool.pid").exists()] == started  # no chain started
+    assert not [d for d in designs if (d.dir / "late.txt").exists()]
+    for design in started:
+        assert live_processes_in_group(int((design.dir / "tool.pid").read_text())) == []
 
 
 def test_failed_rebuild_keeps_no_results_of_the_old_version(tmp_path):

@@ -150,15 +150,20 @@ def test_pinning_chooses_among_the_allowed_cores(monkeypatch):
     assert requested == [{2}, {3}, {2}]
 
 
-def test_shared_clock_accumulates_timeline(tmp_path):
+def test_pinning_one_worker_leaves_the_caller_alone(tmp_path, monkeypatch):
+    def run_and_note_pid(flow, design):
+        (design.dir / "pid.txt").write_text(f"{os.getpid()}\n")
+        return run_flow(flow, design)
+
+    monkeypatch.setattr(executor, "run_flow", run_and_note_pid)
     collection = lowered_collection(tmp_path, names=("a",))
-    timeline = Timeline(2)
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 2,
-                                                origin=0.0, timeline=timeline)
-    n_first = len(timeline.records)
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 2,
-                                                origin=0.0, timeline=timeline)
-    assert len(timeline.records) == 2 * n_first
+    allowed = os.sched_getaffinity(0)
+    _, timeline = execute(collection, [mock_synth_flow()], 1, pin_cores=True)
+    assert list(timeline.pinning) == [0]
+    assert timeline.pinning[0] is None or timeline.pinning[0] in allowed
+    assert os.sched_getaffinity(0) == allowed
+    pids = {(d.dir / "pid.txt").read_text() for d in collection["a__post_frontend"].designs}
+    assert len(pids) == 1 and pids != {f"{os.getpid()}\n"}  # one pinned child ran every chain
 
 
 def test_simulate_crafted_instance():
