@@ -114,14 +114,14 @@ _FIELD_TYPES = {cls: {name: next(t for t in get_args(hint) or (hint,) if t is no
 # Column order is the table schema; exports and imports key off these names.
 # The identity and assignment columns come first, then every metric field
 # under its section's prefix, so adding a metric is adding one field.
-_COLUMN_TYPES: dict[str, type] = {
+COLUMN_TYPES: dict[str, type] = {
     "design_id": str, "base_name": str, "dataset": str, "vendor": str,
     "assignment_summary": str, "n_directives": int, "max_unroll": int, "n_unrolled": int,
     "n_partitioned": int,
     **{prefix + name: kind for _, cls, prefix, _ in _SECTIONS
        for name, kind in _FIELD_TYPES[cls].items()},
 }
-COLUMNS = tuple(_COLUMN_TYPES)
+COLUMNS = tuple(COLUMN_TYPES)
 
 # (bundle attribute, ((field, column), ...)) per section: how a bundle fills a row
 _ROW_FILL = tuple((attr, tuple((name, prefix + name) for name in _FIELD_TYPES[cls]))
@@ -133,7 +133,7 @@ def _row_as_dict(row) -> dict:
 
 
 AggregatedRow = make_dataclass(
-    "AggregatedRow", [(name, kind | None, None) for name, kind in _COLUMN_TYPES.items()],
+    "AggregatedRow", [(name, kind | None, None) for name, kind in COLUMN_TYPES.items()],
     namespace={
         "__module__": __name__,
         "__doc__": "One design, flat; every column nullable so partial data stays honest.",
@@ -210,17 +210,23 @@ def parse_vitis_csynth_report(xml_text: str) -> HlsSynthMetrics:
 
 
 def parse_impl_report(json_text: str) -> ImplMetrics:
+    """Parse an impl_report.json: each field must hold a value of its JSON type
+    (core.json_fits), or MalformedReport is raised; an integer in a float field
+    is read as a float."""
     try:
         payload = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise MalformedReport(f"impl report is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedReport("impl report must be a JSON object")
-    types = _FIELD_TYPES[ImplMetrics]
-    for name in types:
+    for name, kind in _FIELD_TYPES[ImplMetrics].items():
         if name not in payload:
             raise MissingField(f"impl report lacks required field {name!r}")
-    return ImplMetrics(**{name: kind(payload[name]) for name, kind in types.items()})
+        if not json_fits(payload[name], kind):
+            raise MalformedReport(f"impl report field {name!r} holds {payload[name]!r}, "
+                                  f"not {kind.__name__}")
+    return ImplMetrics(**{name: float(payload[name]) if kind is float else payload[name]
+                          for name, kind in _FIELD_TYPES[ImplMetrics].items()})
 
 
 def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
@@ -359,7 +365,7 @@ def _coerce(column: str, value):
     """An imported cell as its column's type; an integer column takes any number."""
     if value is None or value == "":
         return None
-    kind = _COLUMN_TYPES[column]
+    kind = COLUMN_TYPES[column]
     return int(float(value)) if kind is int else kind(value)
 
 
@@ -368,7 +374,7 @@ def _csv_value(column: str, text: str | None):
     an integer literal."""
     if text is None or text == "":
         return None
-    return _COLUMN_TYPES[column](text)
+    return COLUMN_TYPES[column](text)
 
 
 def _jsonl_value(column: str, value):
@@ -376,7 +382,7 @@ def _jsonl_value(column: str, value):
     column's JSON type (core.json_fits) is taken."""
     if value is None or value == "":
         return None
-    kind = _COLUMN_TYPES[column]
+    kind = COLUMN_TYPES[column]
     if not json_fits(value, kind):
         raise ValueError(f"column {column!r} holds {value!r}, not {kind.__name__}")
     return float(value) if kind is float else value
@@ -487,7 +493,7 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
                 if raw is None or raw == "":
                     setattr(row, dst, None)
                     continue
-                kind = _COLUMN_TYPES[dst]
+                kind = COLUMN_TYPES[dst]
                 if dst in units and kind is not str:
                     converted = _apply_unit(units[dst], float(raw))
                     value = int(round(converted)) if kind is int else converted

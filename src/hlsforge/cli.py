@@ -17,7 +17,6 @@ import dataclasses
 import os
 import sys
 from collections import Counter
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
@@ -35,7 +34,6 @@ from .analysis import (
 from .core import (
     DatasetCollection,
     WorkspaceLayout,
-    design_dir,
     design_identity,
     json_fits,
     load_dataset,
@@ -57,14 +55,12 @@ from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower
 from .pool import fork_map, local_workers
 from .toolflows import (
     EXTERNAL_FLOWS,
-    KIND_EXTERNAL,
     MockCostConstants,
     ToolFlowSpec,
     custom_flow,
+    extract_design,
     mock_impl_flow,
     mock_synth_flow,
-    simulated_runtime_s,
-    tool_version,
 )
 
 WORK_DIR_ENV = "HLSFORGE_WORK_DIR"
@@ -201,7 +197,8 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
 
 def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
               n_workers: int, pin_cores: bool) -> tuple[dict, Timeline]:
-    """Run every design's chain of flows over the collection on one shared clock.
+    """Run every design's chain of flows over the collection on one shared clock;
+    each chain ends by writing its design's data_*.json.
 
     Returns ({flow_name: {(dataset, design_id): outcome}}, timeline); two
     datasets may hold designs of the same id.
@@ -213,45 +210,15 @@ def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy
             for i, spec in enumerate(specs)}, timeline
 
 
-def _parse_report(path: Path, parse):
-    """The parsed report, or None when it is absent or malformed."""
-    try:
-        return parse(path.read_text())
-    except (FileNotFoundError, HlsForgeError):
-        return None
-
-
-def _extract_design(primary: ToolFlowSpec | None, version: str, outcomes: dict, job) -> int:
-    """Write the data_*.json files of one (dataset, design); returns how many were written."""
-    dataset_name, design = job
-    root = design_dir(design)
-    hls = _parse_report(root / agg.CSYNTH_REPORT_RELPATH, agg.parse_vitis_csynth_report)
-    bundle = agg.MetricsBundle(hls, _parse_report(root / agg.IMPL_REPORT_RELPATH,
-                                                  agg.parse_impl_report))
-    outcome = outcomes.get((dataset_name, design_identity(design)))
-    if outcome is not None:
-        if primary.kind == KIND_EXTERNAL:
-            runtime = round(outcome.runtime_s, 6)
-        else:
-            runtime = simulated_runtime_s(hls.lut, hls.ff) if hls is not None else 0.0
-        bundle.execution = agg.ExecutionMeta(primary.name, version, runtime, outcome.status)
-    return len(agg.write_standard_json(root, bundle))
-
-
 def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
                     results: dict) -> int:
-    """Parse whatever reports exist and write the per-design data_*.json files.
-
-    Execution metadata reflects the first configured flow (synthesis by
-    convention); mock flows record their deterministic simulated runtime.
-    Designs are extracted on one forked process per available core.
-    """
-    primary = specs[0] if specs else None
-    version = tool_version(primary) if primary else ""
-    outcomes = results.get(primary.name, {}) if primary else {}
-    jobs = [(name, design) for name, dataset in collection.items() for design in dataset.designs]
-    return sum(fork_map(partial(_extract_design, primary, version, outcomes), jobs,
-                        local_workers()))
+    """Write the data_*.json, without execution section, of each design results holds no
+    first-flow outcome for; returns how many. Each chain writes its own (executor.execute),
+    so this serves a tree built elsewhere, passed with results={}."""
+    outcomes = results.get(specs[0].name, {}) if specs else {}
+    pending = [design for name, dataset in collection.items() for design in dataset.designs
+               if (name, design_identity(design)) not in outcomes]
+    return sum(fork_map(extract_design, pending, local_workers()))
 
 
 def _report_expansion(result) -> bool:
@@ -265,9 +232,8 @@ def _report_expansion(result) -> bool:
 
 def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
            n_workers: int, pin_cores: bool, work_dir: Path) -> Timeline:
-    """Run the flows, extract their reports, write timeline.json and print a summary."""
+    """Run the flows, write timeline.json and print a summary."""
     results, timeline = run_flows(collection, specs, strategy, n_workers, pin_cores)
-    extract_reports(collection, specs, results)
     write_timeline(work_dir / "timeline.json", timeline)
     for flow_name, by_design in results.items():
         counts = Counter(outcome.status for outcome in by_design.values())
@@ -321,10 +287,25 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _column(option: str, name: str, numeric: bool = True) -> str:
+    """name, when the table schema has such a column, holding numbers if numeric."""
+    kind = agg.COLUMN_TYPES.get(name)
+    _expect(kind is not None, f"{option}: unknown column {name!r}")
+    _expect(not numeric or kind is not str, f"{option}: column {name!r} is not numeric")
+    return name
+
+
+def _metrics(args, default: tuple) -> tuple:
+    """The --metrics columns, or default when none are given."""
+    if not args.metrics:
+        return default
+    return tuple(_column("--metrics", name) for name in args.metrics.split(","))
+
+
 def cmd_regress(args) -> int:
+    metrics = _metrics(args, DEFAULT_REGRESSION_METRICS)
     table_a = agg.load_table(Path(args.table_a))
     table_b = agg.load_table(Path(args.table_b))
-    metrics = tuple(args.metrics.split(",")) if args.metrics else DEFAULT_REGRESSION_METRICS
     report = compare_tool_versions(table_a, table_b, metrics=metrics, alpha=args.alpha)
     print(format_regression_table(report))
     if args.json:
@@ -334,11 +315,14 @@ def cmd_regress(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    metrics = _metrics(args, DEFAULT_COVERAGE_METRICS)
+    _column("--group-by", args.group_by, numeric=False)
+    if args.hist:
+        _column("--hist", args.hist)
     table = agg.load_table(Path(args.table))
     if not table.rows:
         print("table has no rows", file=sys.stderr)
         return 4
-    metrics = tuple(args.metrics.split(",")) if args.metrics else DEFAULT_COVERAGE_METRICS
     summary = coverage_summary(table, group_by=args.group_by, metrics=metrics)
     print(format_coverage_table(summary))
     if args.hist:

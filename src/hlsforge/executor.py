@@ -1,16 +1,16 @@
 """Parallel execution of tool-flow chains over design collections.
 
-The job unit is one design's chain: the configured flows, in order. Two
+The job unit is one design's chain: the configured flows, in order, then the
+design's data_*.json from the reports they left (toolflows.extract_design). Two
 strategies: fine_grained keeps one shared FIFO queue of chains for every design
-of every dataset, so a worker that finishes early immediately takes the next
-chain regardless of which dataset it came from; naive runs the datasets one
-after another, draining the workers between them (the barrier real batch
-scripts tend to have). Every chain runs on the one pool of forked processes
-that lowering and extraction use (pool.fork_map). Mock chains go out in
-chunks; a chain with an external flow can run for hours, so such chains go
-out one at a time and a worker takes the next only when it is free.
-simulate_schedule replays either policy on given durations without running
-anything, for planning and for quantifying the gap.
+of every dataset, so a worker that finishes early takes the next chain of any
+dataset; naive runs the datasets one after another, draining the workers
+between them (the barrier real batch scripts tend to have). Every chain runs on
+the one pool of forked processes that lowering uses (pool.fork_map). Mock
+chains go out in chunks; a chain with an external flow can run for hours, so
+such chains go out one at a time and a worker takes the next only when it is
+free. simulate_schedule replays either policy on given durations without
+running anything, for planning and for quantifying the gap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .core import DatasetCollection, design_identity, replace_on_success, write_json
 from .pool import current_worker, fork_map
-from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, run_flow
+from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, extract_design, run_flow, tool_version
 
 STRATEGIES = ("fine_grained", "naive")
 
@@ -54,20 +54,23 @@ class Timeline:
         return max((r.end_s for r in self.records), default=0.0)
 
 
-def _run_chain(flows: tuple, origin: float, design) -> tuple:
-    """Each flow on the design, in order: (current_worker(), [(outcome, start, end) per flow])."""
+def _run_chain(flows: tuple, version: str, origin: float, design) -> tuple:
+    """Run the flows, then write the data_*.json: (current_worker(), [(outcome, start, end)])."""
     steps = []
     for flow in flows:
         start = time.monotonic() - origin
         outcome = run_flow(flow, design)
         steps.append((outcome, start, time.monotonic() - origin))
+    if flows:
+        extract_design(design, flows[0], version, steps[0][0])
     return current_worker(), steps
 
 
 def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
             strategy: str = "fine_grained", pin_cores: bool = False
             ) -> tuple[list[list[FlowOutcome]], Timeline]:
-    """Run every design's chain of flows on n_workers workers.
+    """Run every design's chain of flows on n_workers workers; a chain ends by writing
+    its design's data_*.json, under the first flow's tool version, asked once here.
 
     Returns each design's outcomes, one per flow, in job order (datasets in
     collection order, then designs in dataset order), and the timeline: one
@@ -83,7 +86,8 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
     batches = [jobs] if strategy == "fine_grained" else \
         [[job for job in jobs if job[0] == name] for name in collection]
     chunksize = 1 if any(flow.kind == KIND_EXTERNAL for flow in flows) else None
-    chain = partial(_run_chain, flows, time.monotonic())
+    version = tool_version(flows[0]) if flows else ""
+    chain = partial(_run_chain, flows, version, time.monotonic())
     chains = []
     for batch in batches:  # naive: one batch per dataset, each drained before the next
         done = fork_map(chain, [design for _, design in batch], n_workers, pin_cores, chunksize)

@@ -39,9 +39,13 @@ from xml.etree import ElementTree
 from .aggregate import (
     CSYNTH_REPORT_RELPATH,
     IMPL_REPORT_RELPATH,
+    ExecutionMeta,
     HlsSynthMetrics,
     ImplMetrics,
+    MetricsBundle,
+    parse_impl_report,
     parse_vitis_csynth_report,
+    write_standard_json,
 )
 from .core import (
     COMPILED_SUFFIXES,
@@ -55,6 +59,7 @@ from .core import (
 )
 from .errors import (
     ExecutableNotFound,
+    HlsForgeError,
     LabelUnknown,
     MalformedReport,
     ManifestMissing,
@@ -443,9 +448,10 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants(),
     root = design_dir(design)
     start = time.monotonic()
     report_path = root / CSYNTH_REPORT_RELPATH
-    if not report_path.exists():
-        raise SynthReportMissing(f"{report_path} does not exist; run synthesis first")
-    hls = parse_vitis_csynth_report(report_path.read_text())
+    try:
+        hls = parse_vitis_csynth_report(report_path.read_text())
+    except FileNotFoundError as exc:
+        raise SynthReportMissing(f"{report_path} does not exist; run synthesis first") from exc
     manifest = MockManifest.load(root)
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
     out_path = root / IMPL_REPORT_RELPATH
@@ -532,6 +538,32 @@ def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
         log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n\n"
                             f"{traceback.format_exc()}")
         return FlowOutcome(design_identity(design), spec.name, STATUS_FAILED, runtime, log_path)
+
+
+def _parse_report(path: Path, parse):
+    """The parsed report, or None when it is absent, unreadable or malformed."""
+    try:
+        return parse(path.read_text())
+    except (OSError, UnicodeDecodeError, HlsForgeError):
+        return None
+
+
+def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "",
+                   outcome: FlowOutcome | None = None) -> int:
+    """Write the design's data_*.json from its reports; returns how many. An
+    absent or unreadable report leaves its section null. The execution section,
+    left out without an outcome, records the primary (first) flow's outcome:
+    an external flow's runtime as measured, a mock flow's simulated one."""
+    root = design_dir(design)
+    hls = _parse_report(root / CSYNTH_REPORT_RELPATH, parse_vitis_csynth_report)
+    bundle = MetricsBundle(hls, _parse_report(root / IMPL_REPORT_RELPATH, parse_impl_report))
+    if outcome is not None:
+        if primary.kind == KIND_EXTERNAL:
+            runtime = round(outcome.runtime_s, 6)
+        else:
+            runtime = simulated_runtime_s(hls.lut, hls.ff) if hls is not None else 0.0
+        bundle.execution = ExecutionMeta(primary.name, version, runtime, outcome.status)
+    return len(write_standard_json(root, bundle))
 
 
 def perturbed_constants(base: MockCostConstants = MockCostConstants(),

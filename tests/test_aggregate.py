@@ -515,3 +515,22 @@ def test_archive_memory_grows_little_per_member(tmp_path):
     # walk holds, about 18 B.
     per_member = (archive_peak(tmp_path, 1600) - archive_peak(tmp_path, 400)) / (1200 * 5)
     assert per_member < 60
+
+
+IMPL_PAYLOAD = {"wns_ns": 6.5, "whs_ns": 0.1, "lut": 540, "ff": 342, "dsp": 4, "bram": 1,
+                "total_power_w": 0.51}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("wns_ns", "x"), ("wns_ns", None), ("total_power_w", True), ("lut", 1.7), ("lut", True),
+    ("lut", "540"), ("dsp", None), ("bram", [1]),
+], ids=["float-string", "float-null", "float-bool", "int-float", "int-bool", "int-string",
+        "int-null", "int-list"])
+def test_parse_impl_report_rejects_a_value_of_the_wrong_type(name, value):
+    with pytest.raises(MalformedReport, match=repr(name)):
+        parse_impl_report(json.dumps({**IMPL_PAYLOAD, name: value}))
+
+
+def test_parse_impl_report_reads_an_integer_as_a_float_field():
+    metrics = parse_impl_report(json.dumps({**IMPL_PAYLOAD, "wns_ns": 6}))
+    assert metrics.wns_ns == 6.0 and isinstance(metrics.wns_ns, float)

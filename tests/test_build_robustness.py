@@ -16,11 +16,15 @@ import pytest
 
 from hlsforge.aggregate import (
     COLUMNS,
+    CSYNTH_REPORT_RELPATH,
+    IMPL_REPORT_RELPATH,
     ExecutionMeta,
     HlsSynthMetrics,
     ImplMetrics,
     MetricsBundle,
     aggregate_collection,
+    parse_impl_report,
+    parse_vitis_csynth_report,
     read_standard_json,
     row_from_design_dir,
     write_standard_json,
@@ -269,3 +273,77 @@ def test_build_reports_a_malformed_design_file(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedReport: ")
     assert str(bad / "data_design.json") in err
+
+
+def test_each_chain_writes_its_own_sidecars(tmp_path):
+    _, collection = expanded_gemm(tmp_path, n_samples=4)
+    build(collection, mock_specs(MockCostConstants()))
+    run_flows(collection, mock_specs(perturbed_constants()), "fine_grained", 2, False)
+    designs = collection["ds__post_frontend"].designs
+    assert len(designs) == 4
+    for design in designs:
+        bundle = read_standard_json(design.dir)
+        assert bundle.execution.tool_version == "mock-2024.1"
+        assert bundle.hls == parse_vitis_csynth_report(
+            (design.dir / CSYNTH_REPORT_RELPATH).read_text())
+        assert bundle.impl == parse_impl_report((design.dir / IMPL_REPORT_RELPATH).read_text())
+
+
+def test_extract_reports_after_run_flows_writes_nothing(tmp_path):
+    work, collection = expanded_gemm(tmp_path, n_samples=4)
+    specs = mock_specs(MockCostConstants())
+    results, _ = run_flows(collection, specs, "fine_grained", 2, False)
+    sidecars = sorted(work.rglob("data_*.json"))
+    for path in sidecars:
+        os.utime(path, ns=(0, 0))  # any rewrite would stamp it with the time of now
+    assert extract_reports(collection, specs, results) == 0
+    assert sorted(work.rglob("data_*.json")) == sidecars
+    assert all(path.stat().st_mtime_ns == 0 for path in sidecars)
+
+
+def test_extract_reports_rewrites_a_tree_built_elsewhere(tmp_path):
+    _, collection = expanded_gemm(tmp_path, n_samples=3)
+    specs = mock_specs(MockCostConstants())
+    build(collection, specs)
+    designs = collection["ds__post_frontend"].designs
+    for design in designs:
+        (design.dir / "data_hls.json").unlink()
+        (design.dir / "data_impl.json").write_text("{}")
+    assert extract_reports(collection, specs, {}) == 2 * len(designs)
+    for design in designs:
+        hls = parse_vitis_csynth_report((design.dir / CSYNTH_REPORT_RELPATH).read_text())
+        impl = parse_impl_report((design.dir / IMPL_REPORT_RELPATH).read_text())
+        assert read_standard_json(design.dir) == MetricsBundle(hls, impl)
+        assert not (design.dir / "data_execution.json").exists()
+
+
+@pytest.mark.parametrize("report, payload", [
+    (IMPL_REPORT_RELPATH, json.dumps({"wns_ns": "x", "whs_ns": 0.1, "lut": 1, "ff": 1, "dsp": 0,
+                                      "bram": 0, "total_power_w": 0.5}).encode()),
+    (IMPL_REPORT_RELPATH, json.dumps({"wns_ns": 1.0, "whs_ns": 0.1, "lut": 1.7, "ff": 1,
+                                      "dsp": 0, "bram": 0, "total_power_w": None}).encode()),
+    (CSYNTH_REPORT_RELPATH, b"\377\376<profile/>"),
+], ids=["impl-string", "impl-float-and-null", "csynth-undecodable"])
+def test_a_malformed_report_leaves_its_section_null(tmp_path, capsys, report, payload):
+    work, collection = expanded_gemm(tmp_path, n_samples=4)
+    designs = collection["ds__post_frontend"].designs
+    (designs[1].dir / "spoil").write_bytes(payload)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(work),
+        "flows": [{"type": "mock_synth"}, {"type": "mock_impl"},
+                  {"type": "custom", "name": "spoil",
+                   "command": ["sh", "-c", f"[ ! -e spoil ] || cp spoil {report}"]}],
+        "executor": {"n_workers": 2}}))
+    assert main(["build", "--config", str(config)]) == 0
+    assert (work / "timeline.json").exists()
+    rows = {row.design_id: row for row in aggregate_collection(work).rows}
+    assert len(rows) == len(designs)
+    for design in designs:
+        row = rows[design.id]
+        assert row.exec_status == STATUS_OK
+        if design is designs[1]:
+            assert row.has_hls == (report == IMPL_REPORT_RELPATH)
+            assert row.has_impl == (report == CSYNTH_REPORT_RELPATH)
+        else:
+            assert row.has_hls and row.has_impl

@@ -348,3 +348,34 @@ def test_demo_tree_is_the_same_for_any_worker_count(tmp_path, capsys):
         (out_dir / "timeline.json").unlink()
         trees.append(tree_bytes(out_dir))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--hist", "dataset"], "--hist: column 'dataset' is not numeric"),
+    (["stats", "--hist", "nosuch"], "--hist: unknown column 'nosuch'"),
+    (["stats", "--group-by", "nosuch"], "--group-by: unknown column 'nosuch'"),
+    (["stats", "--metrics", "hls_lut,nosuch"], "--metrics: unknown column 'nosuch'"),
+    (["stats", "--metrics", "vendor"], "--metrics: column 'vendor' is not numeric"),
+    (["regress", "--metrics", "dataset"], "--metrics: column 'dataset' is not numeric"),
+    (["regress", "--metrics", "nosuch"], "--metrics: unknown column 'nosuch'"),
+], ids=["hist-text", "hist-unknown", "group-by-unknown", "stats-metrics-unknown",
+        "stats-metrics-text", "regress-metrics-text", "regress-metrics-unknown"])
+def test_column_options_are_checked_against_the_schema(tmp_path, capsys, argv, message):
+    table = export_tabular(AggregatedTable([AggregatedRow(design_id="a", base_name="a",
+                                                          dataset="ds", hls_lut=1)]),
+                           tmp_path / "t.csv")
+    tables = [str(table)] * (2 if argv[0] == "regress" else 1)
+    assert main([argv[0], *tables, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
+def test_column_options_take_any_schema_column_of_the_right_type(tmp_path, capsys):
+    table = export_tabular(AggregatedTable([AggregatedRow(design_id="a", base_name="a",
+                                                          dataset="ds", hls_lut=1)]),
+                           tmp_path / "t.csv")
+    assert main(["stats", str(table), "--group-by", "dataset", "--metrics", "hls_lut",
+                 "--hist", "hls_lut"]) == 0
+    assert "histogram of hls_lut (1 values)" in capsys.readouterr().out
+    assert main(["regress", str(table), str(table), "--metrics", "hls_lut,exec_runtime_s"]) == 0
