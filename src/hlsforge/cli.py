@@ -52,7 +52,7 @@ from .errors import (
 )
 from .executor import STRATEGIES, Timeline, execute, utilization_rows, write_timeline
 from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
-from .pool import fork_map, local_workers
+from .pool import fork_imap, local_workers
 from .toolflows import (
     EXTERNAL_FLOWS,
     MockCostConstants,
@@ -218,7 +218,7 @@ def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
     outcomes = results.get(specs[0].name, {}) if specs else {}
     pending = [design for name, dataset in collection.items() for design in dataset.designs
                if (name, design_identity(design)) not in outcomes]
-    return sum(fork_map(extract_design, pending, local_workers()))
+    return sum(fork_imap(extract_design, pending, local_workers()))
 
 
 def _report_expansion(result) -> bool:

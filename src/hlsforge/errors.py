@@ -75,6 +75,10 @@ class ExecutableNotFound(HlsForgeError):
     """External tool binary is not on PATH."""
 
 
+class WorkerLost(HlsForgeError):
+    """A pool worker exited before it sent back the results of the items it held."""
+
+
 # -- reports / import ---------------------------------------------------------
 
 class MalformedReport(HlsForgeError):

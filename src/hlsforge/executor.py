@@ -6,24 +6,37 @@ strategies: fine_grained keeps one shared FIFO queue of chains for every design
 of every dataset, so a worker that finishes early takes the next chain of any
 dataset; naive runs the datasets one after another, draining the workers
 between them (the barrier real batch scripts tend to have). Every chain runs on
-the one pool of forked processes that lowering uses (pool.fork_map). Mock
-chains go out in chunks; a chain with an external flow can run for hours, so
-such chains go out one at a time and a worker takes the next only when it is
-free. simulate_schedule replays either policy on given durations without
-running anything, for planning and for quantifying the gap.
+the one pool of forked processes that lowering uses (pool.fork_imap), and the
+parent records each chain as its result arrives. Mock chains go out in chunks;
+a chain with an external flow can run for hours, so such chains go out one at
+a time and a worker takes the next only when it is free. A chain whose worker
+dies fails alone, with WorkerLost in each flow's log, and the build goes on.
+simulate_schedule replays either policy on given durations without running
+anything, for planning and for quantifying the gap.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 from .core import DatasetCollection, design_identity, replace_on_success, write_json
-from .pool import current_worker, fork_map
-from .toolflows import KIND_EXTERNAL, FlowOutcome, ToolFlowSpec, extract_design, run_flow, tool_version
+from .errors import WorkerLost
+from .pool import current_worker, fork_imap
+from .toolflows import (
+    KIND_EXTERNAL,
+    STATUS_FAILED,
+    FlowOutcome,
+    ToolFlowSpec,
+    extract_design,
+    failed_outcome,
+    run_flow,
+    tool_version,
+)
 
 STRATEGIES = ("fine_grained", "naive")
 
@@ -54,16 +67,39 @@ class Timeline:
         return max((r.end_s for r in self.records), default=0.0)
 
 
-def _run_chain(flows: tuple, version: str, origin: float, design) -> tuple:
-    """Run the flows, then write the data_*.json: (current_worker(), [(outcome, start, end)])."""
+def _extract(design, flows: tuple, version: str, steps: list) -> None:
+    """Write the design's data_*.json; one that cannot be written fails the first flow."""
+    if not flows:
+        return
+    try:
+        extract_design(design, flows[0], version, steps[0][0])
+    except OSError as exc:
+        outcome, start, end = steps[0]
+        with open(outcome.log_path, "a") as log:
+            log.write(f"extraction failed: {type(exc).__name__}: {exc}\n")
+        steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
+
+
+def _run_chain(flows: tuple, version: str, design) -> tuple:
+    """Run the flows, then write the data_*.json: (current_worker(), [(outcome, start, end)]),
+    stamped with time.monotonic()."""
     steps = []
     for flow in flows:
-        start = time.monotonic() - origin
+        start = time.monotonic()
         outcome = run_flow(flow, design)
-        steps.append((outcome, start, time.monotonic() - origin))
-    if flows:
-        extract_design(design, flows[0], version, steps[0][0])
+        steps.append((outcome, start, time.monotonic()))
+    _extract(design, flows, version, steps)
     return current_worker(), steps
+
+
+def _lose_chain(flows: tuple, version: str, design) -> tuple:
+    """_run_chain's result for a chain whose worker died: every flow failed with
+    WorkerLost, stamped with the time of the loss, on worker -1."""
+    lost = WorkerLost("the pool worker running this chain exited before it finished")
+    now = time.monotonic()
+    steps = [(failed_outcome(flow, design, lost), now, now) for flow in flows]
+    _extract(design, flows, version, steps)
+    return (-1, None), steps
 
 
 def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
@@ -74,7 +110,9 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
 
     Returns each design's outcomes, one per flow, in job order (datasets in
     collection order, then designs in dataset order), and the timeline: one
-    record per (design, flow), on a clock that starts when this call does.
+    record per (design, flow), on a clock that starts with the first chain,
+    after the workers have forked. A chain whose worker died reads failed for
+    every flow, recorded at the time of the loss on worker -1.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -87,18 +125,25 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
         [[job for job in jobs if job[0] == name] for name in collection]
     chunksize = 1 if any(flow.kind == KIND_EXTERNAL for flow in flows) else None
     version = tool_version(flows[0]) if flows else ""
-    chain = partial(_run_chain, flows, version, time.monotonic())
+    chain, lost = partial(_run_chain, flows, version), partial(_lose_chain, flows, version)
     chains = []
+    records = timeline.records
     for batch in batches:  # naive: one batch per dataset, each drained before the next
-        done = fork_map(chain, [design for _, design in batch], n_workers, pin_cores, chunksize)
-        for (dataset_name, design), ((index, core), steps) in zip(batch, done):
-            if pin_cores:
-                timeline.pinning[index] = core
-            for flow, (outcome, start, end) in zip(flows, steps):
-                job = Job(design_identity(design), dataset_name, flow.name)
-                timeline.records.append(ExecutionRecord(job, index, start, end, outcome.status))
-            chains.append([outcome for outcome, _, _ in steps])
-    timeline.records.sort(key=lambda r: (r.start_s, r.worker_index))
+        with closing(fork_imap(chain, [design for _, design in batch], n_workers, pin_cores,
+                               chunksize, lost)) as results:
+            for (dataset_name, design), ((index, core), steps) in zip(batch, results):
+                if pin_cores and index >= 0:
+                    timeline.pinning[index] = core
+                for flow, (outcome, start, end) in zip(flows, steps):
+                    job = Job(design_identity(design), dataset_name, flow.name)
+                    records.append(ExecutionRecord(job, index, start, end, outcome.status))
+                chains.append([outcome for outcome, _, _ in steps])
+    # the clock starts with the first chain: the pool's start-up stays out of the timeline
+    origin = min((r.start_s for r in records), default=0.0)
+    for i, r in enumerate(records):
+        records[i] = ExecutionRecord(r.job, r.worker_index, r.start_s - origin,
+                                     r.end_s - origin, r.status)
+    records.sort(key=lambda r: (r.start_s, r.worker_index))
     return chains, timeline
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 import shutil
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -48,6 +49,7 @@ from .errors import (
     ManifestMissing,
     MissingTemplate,
     UnsupportedDirective,
+    WorkerLost,
 )
 from .optdsl import (
     DesignSpace,
@@ -60,7 +62,7 @@ from .optdsl import (
     iter_assignments,
     parse_opt_template,
 )
-from .pool import fork_map, local_workers
+from .pool import fork_imap, local_workers
 from .rng import Xoshiro256StarStar
 
 MANIFEST_FILENAME = "mock_manifest.json"
@@ -354,6 +356,15 @@ def _lower_point(layout: WorkspaceLayout, vendor: str, point: tuple) -> tuple | 
     return None
 
 
+def _lose_point(layout: WorkspaceLayout, point: tuple) -> tuple:
+    """_lower_point's result for a point whose worker died: a WorkerLost failure,
+    with whatever the worker had copied removed."""
+    design, _, design_id = point
+    shutil.rmtree(_out_dir(layout, design, design_id), ignore_errors=True)
+    return False, _failure(WorkerLost("the pool worker lowering this point exited before it "
+                                      "finished"))
+
+
 def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
                      layout: WorkspaceLayout) -> FrontendResult:
     """Expand every frontend-ready design; copy the rest through unchanged.
@@ -363,7 +374,8 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     seed reproduces the whole tree byte for byte. Every id is computed here
     before any point is lowered; the points are then lowered on one forked
     process per available core. A point whose id another assignment holds, in
-    this run or in an existing data_design.json, fails alone as an IdCollision.
+    this run or in an existing data_design.json, fails alone as an IdCollision;
+    one whose worker dies fails as WorkerLost, and its directory is removed.
     """
     layout.ensure()
     result = FrontendResult(collection={})
@@ -392,31 +404,32 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
                         f"{design_id} is taken by another assignment of {design.name!r}")))
 
     points = [(base.design, *point) for base in bases for point in base.points]
-    outcomes = iter(fork_map(partial(_lower_point, layout, config.vendor), points,
-                             local_workers()))
     produced: dict[str, list] = {}
-    for base in bases:
-        key = (base.dataset_name, design_identity(base.design))
-        for (_, design_id), failed in [(point, next(outcomes)) for point in base.points]:
-            if failed is None:
-                base.lowered.append(ConcreteDesign(
-                    design_id, base.design.name, _out_dir(layout, base.design, design_id),
-                    config.vendor))
-            elif failed[0]:
-                base.collisions.append(failed[1])
-            else:
-                base.error = base.error or failed[1]
-        result.collisions += len(base.collisions)
-        result.failures.extend((base.dataset_name, key[1], message) for message in base.collisions)
-        if base.error:  # the design fails whole: none of its points stays on disk
-            for design in base.lowered:
-                shutil.rmtree(design.dir)
-            result.failures.append((base.dataset_name, key[1], base.error))
-            result.sizes[key] = (0, 0)
-            continue
-        out_name = layout.post_frontend_dir(base.dataset_name).name
-        produced.setdefault(out_name, []).extend(base.lowered)
-        result.sizes[key] = (base.space_size, len(base.lowered))
+    with closing(fork_imap(partial(_lower_point, layout, config.vendor), points, local_workers(),
+                           on_lost=partial(_lose_point, layout))) as outcomes:
+        for base in bases:
+            key = (base.dataset_name, design_identity(base.design))
+            for (_, design_id), failed in [(point, next(outcomes)) for point in base.points]:
+                if failed is None:
+                    base.lowered.append(ConcreteDesign(
+                        design_id, base.design.name, _out_dir(layout, base.design, design_id),
+                        config.vendor))
+                elif failed[0]:
+                    base.collisions.append(failed[1])
+                else:
+                    base.error = base.error or failed[1]
+            result.collisions += len(base.collisions)
+            result.failures.extend((base.dataset_name, key[1], message)
+                                   for message in base.collisions)
+            if base.error:  # the design fails whole: none of its points stays on disk
+                for design in base.lowered:
+                    shutil.rmtree(design.dir)
+                result.failures.append((base.dataset_name, key[1], base.error))
+                result.sizes[key] = (0, 0)
+                continue
+            out_name = layout.post_frontend_dir(base.dataset_name).name
+            produced.setdefault(out_name, []).extend(base.lowered)
+            result.sizes[key] = (base.space_size, len(base.lowered))
     result.collection = {name: DesignDataset(name, designs)
                          for name, designs in produced.items() if designs}
     return result

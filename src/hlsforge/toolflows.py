@@ -533,11 +533,18 @@ def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
             return mock_impl(design, spec.constants, spec.name)
         raise ValueError(f"unknown flow kind {spec.kind!r}")
     except Exception as exc:  # one bad design fails its own job, not its worker
-        runtime = time.monotonic() - start
-        _drop_stale_report(spec, root)
-        log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n\n"
-                            f"{traceback.format_exc()}")
-        return FlowOutcome(design_identity(design), spec.name, STATUS_FAILED, runtime, log_path)
+        return failed_outcome(spec, design, exc, time.monotonic() - start,
+                              f"\n{traceback.format_exc()}")
+
+
+def failed_outcome(spec: ToolFlowSpec, design, exc: Exception, runtime: float = 0.0,
+                   detail: str = "") -> FlowOutcome:
+    """spec failed on design with exc: no earlier run's report stays, and the log names exc."""
+    root = design_dir(design)
+    _drop_stale_report(spec, root)
+    log_path = root / f"{spec.name}.log"
+    log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}")
+    return FlowOutcome(design_identity(design), spec.name, STATUS_FAILED, runtime, log_path)
 
 
 def _parse_report(path: Path, parse):

@@ -347,3 +347,61 @@ def test_a_malformed_report_leaves_its_section_null(tmp_path, capsys, report, pa
             assert row.has_impl == (report == CSYNTH_REPORT_RELPATH)
         else:
             assert row.has_hls and row.has_impl
+
+
+def test_a_sidecar_that_cannot_be_written_fails_only_its_design(tmp_path, capsys):
+    work, collection = expanded_gemm(tmp_path, n_samples=4)
+    designs = collection["ds__post_frontend"].designs
+    bad = designs[2]
+    (bad.dir / "data_hls.json").mkdir()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"work_dir": str(work), "flows": [{"type": "mock_synth"}],
+                                  "executor": {"n_workers": 2}}))
+    assert main(["build", "--config", str(config)]) == 0
+    assert "flow mock_hls_synth: failed=1, ok=3" in capsys.readouterr().out
+    timeline = json.loads((work / "timeline.json").read_text())
+    assert {entry["design_id"]: entry["status"] for entry in timeline} \
+        == {design.id: STATUS_FAILED if design is bad else STATUS_OK for design in designs}
+    log = (bad.dir / "mock_hls_synth.log").read_text()
+    assert f"IsADirectoryError: [Errno 21] Is a directory: '{bad.dir / 'data_hls.json'}'" in log
+    for design in designs:
+        if design is not bad:
+            assert read_standard_json(design.dir).execution.status == STATUS_OK
+
+
+def test_a_lost_worker_fails_its_chain_alone(tmp_path, capsys):
+    work = tmp_path / "tree"
+    assert main(["demo", "--out", str(work), "--n-samples", "1", "--n-workers", "2"]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(work),
+        "flows": [{"type": "mock_synth"},
+                  {"type": "custom", "name": "poke", "command": [
+                      "sh", "-c", "case $(pwd) in *gemm*) sleep 0.05; kill -9 $PPID;; "
+                                  "*) sleep 0.1; touch slept.txt;; esac; true"]}],
+        "executor": {"n_workers": 2}}))
+    capsys.readouterr()
+    assert main(["build", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "flow mock_hls_synth: failed=2, ok=22" in out
+    assert "flow poke: failed=2, ok=22" in out
+    timeline = json.loads((work / "timeline.json").read_text())
+    assert len(timeline) == 48
+    collection = load_post_frontend(work)
+    designs = [design for dataset in collection.values() for design in dataset.designs]
+    lost = [design for design in designs if design.base_name == "gemm"]
+    assert len(lost) == 2
+    for design in designs:
+        statuses = {entry["status"] for entry in timeline if entry["design_id"] == design.id
+                    and entry["dataset"] == design.dir.parent.name}
+        bundle = read_standard_json(design.dir)
+        if design in lost:
+            assert statuses == {STATUS_FAILED}
+            for log in ("mock_hls_synth.log", "poke.log"):
+                assert (design.dir / log).read_text().startswith(
+                    f"flow {log[:-4]} failed: WorkerLost: ")
+            assert bundle.execution.status == STATUS_FAILED and bundle.hls is None
+        else:  # the tool each chain ran on the other worker, while the first one died, finished
+            assert statuses == {STATUS_OK}
+            assert (design.dir / "slept.txt").exists()
+            assert bundle.execution.status == STATUS_OK and bundle.hls is not None

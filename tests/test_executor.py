@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -277,3 +278,18 @@ def test_utilization_rows_cover_all_workers(tmp_path):
     assert sum(r["n_jobs"] for r in rows) == 6
     for row in rows:
         assert row["busy_s"] >= 0.0
+
+
+def test_the_timeline_clock_starts_after_the_workers_have_forked(tmp_path, monkeypatch):
+    collection = lowered_collection(tmp_path, names=("a",))
+    fork = os.fork
+
+    def slow_fork():
+        pid = fork()
+        if pid:  # the parent: a slow pool start-up
+            time.sleep(0.2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", slow_fork)
+    _, timeline = execute(collection, [mock_synth_flow()], 2)
+    assert min(r.start_s for r in timeline.records) < 0.1
