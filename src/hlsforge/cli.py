@@ -165,7 +165,8 @@ _FLOW_KEYS = {"type": (str, "a string"), "timeout_s": ((int, float), "a number")
 
 
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
-    """Instantiate every configured flow up front (missing tools fail fast)."""
+    """Instantiate every configured flow up front (missing tools fail fast); no two
+    may share a name."""
     specs = []
     for i, raw in enumerate(raw_flows):
         for key, (kind, what) in _FLOW_KEYS.items():
@@ -192,6 +193,9 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
                                      timeout_s=timeout_s, environment=environment))
         else:
             raise ConfigError(f"flows[{i}]: unknown flow type {kind!r}")
+        first = next(j for j, spec in enumerate(specs) if spec.name == specs[-1].name)
+        _expect(first == i, f"flows[{first}] and flows[{i}] are both named {specs[-1].name!r}; "
+                            f"a flow's name keys its log and its outcomes")
     return specs
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args
 
-from .errors import EmptyDataset, MalformedReport, MissingDirectory
+from .errors import EmptyDataset, MalformedReport, ManifestMissing, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
 
 OPT_TEMPLATE_FILENAME = "opt_template.tcl"
@@ -239,6 +239,18 @@ def json_fits(value, hint) -> bool:
     if isinstance(value, bool):
         return bool in kinds
     return isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+
+
+def manifest_value(path: Path, entry: dict, name: str, kind, where: str = "", default=None):
+    """entry[name] from the mock manifest at path, or default where entry lacks it:
+    a JSON value of type kind (json_fits; nothing is coerced, but an int in a
+    float field reads as a float). ManifestMissing, naming the field, otherwise."""
+    value = entry.get(name, default)
+    if value is None:
+        raise ManifestMissing(f"{path} lacks required field {where}{name!r}")
+    if not json_fits(value, kind):
+        raise ManifestMissing(f"{path}: field {where}{name!r} holds {value!r}, not {kind.__name__}")
+    return float(value) if kind is float else value
 
 
 def write_json(path: Path, obj) -> Path:

@@ -34,10 +34,12 @@ from .core import (
     ConcreteDesign,
     DatasetCollection,
     DesignDataset,
+    VENDORS,
     WorkspaceLayout,
     concrete_design_id,
     design_identity,
     list_design_files,
+    manifest_value,
     read_json,
     write_json,
 )
@@ -83,7 +85,7 @@ class FrontendConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vendor not in ("xilinx", "intel"):
+        if self.vendor not in VENDORS:
             raise ValueError(f"unknown vendor {self.vendor!r}")
         if self.random_sample and self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -231,11 +233,9 @@ def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
     manifest = read_json(manifest_path)
     if manifest is None:
         raise ManifestMissing(f"{manifest_path} is required for array_partition lowering")
-    for array in manifest.get("arrays", []):
+    for i, array in enumerate(manifest.get("arrays", [])):
         if array.get("label") == label:
-            if "elem_bytes" not in array:
-                raise ManifestMissing(f"array {label!r} in {manifest_path} lacks elem_bytes")
-            return int(array["elem_bytes"])
+            return manifest_value(manifest_path, array, "elem_bytes", int, f"arrays[{i}].")
     raise LabelUnknown(f"array label {label!r} not defined in {manifest_path}")
 
 
@@ -333,34 +333,25 @@ def _sample(design: AbstractDesign, config: FrontendConfig) -> tuple[int, list]:
     """The design's space size and the assignments to lower."""
     template = parse_opt_template((design.source_dir / OPT_TEMPLATE_FILENAME).read_text())
     space = enumerate_design_space(template)
-    if config.random_sample:
-        seed = _design_seed(config.seed, design.name)
-        return space.size, sample_assignments(space, config.n_samples, seed)
-    return space.size, list(iter_assignments(space))
+    k = config.n_samples if config.random_sample else space.size
+    return space.size, sample_assignments(space, k, _design_seed(config.seed, design.name))
 
 
 def _lower_point(layout: WorkspaceLayout, vendor: str, point: tuple) -> tuple | None:
-    """Lower one (design, assignment, id): None, or (is an id collision, message).
-
-    A point that fails after its copy began leaves no directory behind, so a
-    later build cannot pick up a half-lowered design.
-    """
-    design, assignment, design_id = point
+    """Lower one (design, assignment): None, or (is an id collision, message).
+    Whatever a failed point left on disk is the parent's to remove."""
+    design, assignment = point
     try:
         _lower(design, assignment, layout, vendor)
     except IdCollision as exc:
         return True, _failure(exc)
     except Exception as exc:  # per-design isolation: record and move on
-        shutil.rmtree(_out_dir(layout, design, design_id), ignore_errors=True)
         return False, _failure(exc)
     return None
 
 
-def _lose_point(layout: WorkspaceLayout, point: tuple) -> tuple:
-    """_lower_point's result for a point whose worker died: a WorkerLost failure,
-    with whatever the worker had copied removed."""
-    design, _, design_id = point
-    shutil.rmtree(_out_dir(layout, design, design_id), ignore_errors=True)
+def _lose_point(point: tuple) -> tuple:
+    """_lower_point's result for a point whose worker died: a WorkerLost failure."""
     return False, _failure(WorkerLost("the pool worker lowering this point exited before it "
                                       "finished"))
 
@@ -374,13 +365,13 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     seed reproduces the whole tree byte for byte. Every id is computed here
     before any point is lowered; the points are then lowered on one forked
     process per available core. A point whose id another assignment holds, in
-    this run or in an existing data_design.json, fails alone as an IdCollision;
-    one whose worker dies fails as WorkerLost, and its directory is removed.
+    this run or in an existing data_design.json, fails alone as an IdCollision.
+    Any other failure, a lost worker included, fails the whole design, and
+    every directory of its points is removed, bar those refused as collisions.
     """
     layout.ensure()
     result = FrontendResult(collection={})
     bases: list[_Base] = []
-    claimed: dict = {}  # (dataset, design id) -> canonical selections, this run
     for dataset_name, dataset in collection.items():
         for design in dataset.designs:
             base = _Base(dataset_name, design)
@@ -393,37 +384,40 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
             except Exception as exc:  # per-design isolation: record and move on
                 base.error = _failure(exc)
                 continue
+            claimed: dict = {}  # design id -> canonical selections; ids carry the design name
             for assignment in assignments:
                 design_id = concrete_design_id(design.name, assignment)
                 selections = assignment.canonicalized().selections
-                if (dataset_name, design_id) not in claimed:
-                    claimed[(dataset_name, design_id)] = selections
+                if design_id not in claimed:
+                    claimed[design_id] = selections
                     base.points.append((assignment, design_id))
-                elif claimed[(dataset_name, design_id)] != selections:  # equal: the same design
+                elif claimed[design_id] != selections:  # equal: the same design
                     base.collisions.append(_failure(IdCollision(
                         f"{design_id} is taken by another assignment of {design.name!r}")))
 
-    points = [(base.design, *point) for base in bases for point in base.points]
+    points = [(base.design, assignment) for base in bases for assignment, _ in base.points]
     produced: dict[str, list] = {}
     with closing(fork_imap(partial(_lower_point, layout, config.vendor), points, local_workers(),
-                           on_lost=partial(_lose_point, layout))) as outcomes:
+                           on_lost=_lose_point)) as outcomes:
         for base in bases:
             key = (base.dataset_name, design_identity(base.design))
+            out_dirs = []  # of the points not refused as collisions
             for (_, design_id), failed in [(point, next(outcomes)) for point in base.points]:
-                if failed is None:
-                    base.lowered.append(ConcreteDesign(
-                        design_id, base.design.name, _out_dir(layout, base.design, design_id),
-                        config.vendor))
-                elif failed[0]:
+                if failed is not None and failed[0]:
                     base.collisions.append(failed[1])
+                    continue
+                out_dirs.append(_out_dir(layout, base.design, design_id))
+                if failed is None:
+                    base.lowered.append(ConcreteDesign(design_id, base.design.name,
+                                                       out_dirs[-1], config.vendor))
                 else:
                     base.error = base.error or failed[1]
             result.collisions += len(base.collisions)
             result.failures.extend((base.dataset_name, key[1], message)
                                    for message in base.collisions)
-            if base.error:  # the design fails whole: none of its points stays on disk
-                for design in base.lowered:
-                    shutil.rmtree(design.dir)
+            if base.error:  # the design fails whole: none of its own points stays on disk
+                for out_dir in out_dirs:
+                    shutil.rmtree(out_dir, ignore_errors=True)
                 result.failures.append((base.dataset_name, key[1], base.error))
                 result.sizes[key] = (0, 0)
                 continue

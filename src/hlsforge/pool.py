@@ -16,13 +16,16 @@ has sent the results of the one it holds, so with chunks of one item each item
 goes to the next free worker, in item order, as ``executor.simulate_schedule``
 models. Before each item a worker writes its position to a slot in memory it
 shares with the parent, so the parent learns which item a worker was running
-without being woken for every item.
+without being woken for every item; a worker waiting on an external tool
+writes the tool's process group next to it (``set_tool_group``).
 
 A worker that dies (the OOM killer, a tool that kills its parent) closes its
 result pipe early. The parent then makes the result of the item it was running
-with the caller's ``on_lost``, forks a fresh worker with the same index, hands
-the rest of the dead worker's chunk to the next free worker and goes on with
-the map; the other workers and their tools are left alone.
+with the caller's ``on_lost``, kills the process group of the tool the worker
+was waiting on (the tool runs in a session of its own, so it would outlive
+the worker), forks a fresh worker with the same index, hands the rest of the
+dead worker's chunk to the next free worker and goes on with the map; the
+other workers and their tools are left alone.
 
 Ctrl-C reaches the workers as ``KeyboardInterrupt``, and so does the SIGTERM
 the parent sends them when a map ends early (an exception, an interrupt, an
@@ -45,8 +48,10 @@ from .errors import WorkerLost
 # the per-chunk round trip stays small next to the work in it
 CHUNKS_PER_WORKER = 32
 
-# in a pool process: this worker's (index, pinned core); set once after the fork
+# in a pool process: this worker's (index, pinned core), and the slots it shares
+# with the parent; both set once after the fork
 _worker: tuple[int, int | None] = (0, None)
+_running = None
 
 
 def local_workers() -> int:
@@ -69,6 +74,14 @@ def pin_to_core(worker_index: int) -> int | None:
 def current_worker() -> tuple[int, int | None]:
     """(index, pinned core) of the pool process running this; (0, None) outside a pool."""
     return _worker
+
+
+def set_tool_group(pgid: int) -> None:
+    """In a pool process, tell the parent the process group of the tool this worker
+    waits on (0: none), which the parent kills should the worker die first;
+    outside a pool, do nothing."""
+    if _running is not None:
+        _running[_worker[0], 1] = pgid
 
 
 def _flush_stdio() -> None:
@@ -139,8 +152,9 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     chunksize = chunksize or max(1, n_items // (n_workers * CHUNKS_PER_WORKER))
     workers: dict[int, _Worker] = {}  # by result pipe
     selector = selectors.DefaultSelector()
-    # shared with the workers: the item each one is running, -1 between chunks
-    running = memoryview(mmap.mmap(-1, 8 * n_workers)).cast("q")
+    # shared with the workers, a row each: the item it is running (-1 between
+    # chunks) and the process group of the tool it waits on (0: none)
+    running = memoryview(mmap.mmap(-1, 16 * n_workers)).cast("q", (n_workers, 2))
     next_start = 0  # the first item no worker has been given
     received = 0  # results in, from fn or on_lost
     requeued: list[range] = []  # items a lost worker held, but not the one it died on
@@ -151,20 +165,20 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
             frames = []
             for position in range(int.from_bytes(message[:8], "little"),
                                   int.from_bytes(message[8:], "little")):
-                running[index] = position
+                running[index, 0] = position
                 try:
                     reply = pickle.dumps((True, fn(items[position])))
                 except Exception as exc:  # from fn, or a result that does not pickle
                     reply = pickle.dumps((False, exc))
                 frames.append(len(reply).to_bytes(4, "little") + reply)
-            running[index] = -1
+            running[index, 0] = -1
             _send(results, b"".join(frames))  # one write a chunk: the parent wakes once
 
     def fork(index: int) -> _Worker:
-        global _worker
+        global _worker, _running
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
-        running[index] = -1
+        running[index, 0], running[index, 1] = -1, 0
         _flush_stdio()
         pid = os.fork()
         if pid == 0:
@@ -179,6 +193,7 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
                 os.close(task_w)
                 os.close(result_r)
                 _worker = (index, pin_to_core(index) if pin_cores else None)
+                _running = running
                 serve(index, task_r, result_w)
                 code = 0
             except KeyboardInterrupt:
@@ -217,11 +232,17 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
         os.close(worker.results)
         os.close(worker.tasks)
         _, status = os.waitpid(worker.pid, 0)
+        tool_group = running[worker.index, 1]
+        if tool_group:  # the tool it waited on, and every process that tool spawned
+            try:
+                os.killpg(tool_group, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group has exited
+                pass
         held = worker.held
         if held:
             # the item it died on; outside fn, the first of its chunk, so that every
             # loss settles one item and a map always ends
-            lost = running[worker.index]
+            lost = running[worker.index, 0]
             lost = lost if lost in held else held.start
             if on_lost is None:
                 raise WorkerLost(f"pool worker {worker.index} (pid {worker.pid}) exited with "
@@ -275,8 +296,3 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     for position in range(position, n_items):
         yield done.pop(position)
 
-
-def fork_map(fn, items: list, n_workers: int, pin_cores: bool = False,
-             chunksize: int | None = None, on_lost=None) -> list:
-    """list(fork_imap(...)): every result at once, in item order."""
-    return list(fork_imap(fn, items, n_workers, pin_cores, chunksize, on_lost))

@@ -32,8 +32,9 @@ import signal
 import subprocess
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 from xml.etree import ElementTree
 
 from .aggregate import (
@@ -52,6 +53,7 @@ from .core import (
     SOURCE_SUFFIXES,
     design_dir,
     design_identity,
+    manifest_value,
     read_json,
     validate_design_files,
     walk_files,
@@ -66,6 +68,7 @@ from .errors import (
     SynthReportMissing,
 )
 from .frontends import ANCHOR_RE, MANIFEST_FILENAME
+from .pool import set_tool_group
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -98,7 +101,6 @@ class MockCostConstants:
     power_base_w: float = 0.5
     power_lut_w: float = 1e-5
     power_dsp_w: float = 1e-3
-    default_clock_target_ns: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,29 @@ class ArraySpec:
     elem_bytes: int
 
 
+# each manifest entry type's fields: (name, JSON type, default or None when required)
+_ENTRY_FIELDS = {spec: tuple((f.name, get_type_hints(spec)[f.name],
+                              None if f.default is MISSING else f.default) for f in fields(spec))
+                 for spec in (LoopSpec, ArraySpec)}
+
+
+def _manifest_entries(path: Path, payload: dict, name: str, spec, absent=None) -> tuple:
+    """The manifest's list payload[name] (absent, when it is left out and absent is
+    not None) as specs, each entry an object of spec's fields."""
+    found = []
+    for i, entry in enumerate(manifest_value(path, payload, name, list, "", absent)):
+        if not isinstance(entry, dict):
+            raise ManifestMissing(f"{path}: {name}[{i}] is not an object")
+        where = f"{name}[{i}]."
+        found.append(spec(**{field: manifest_value(path, entry, field, kind, where, default)
+                             for field, kind, default in _ENTRY_FIELDS[spec]}))
+    return tuple(found)
+
+
 @dataclass(frozen=True)
 class MockManifest:
-    """Workload description the mock cost model prices."""
+    """Workload description the mock cost model prices. Every value must have its
+    field's JSON type (core.manifest_value): nothing is coerced."""
 
     loops: tuple[LoopSpec, ...]
     arrays: tuple[ArraySpec, ...]
@@ -135,21 +157,12 @@ class MockManifest:
             raise ManifestMissing(str(exc)) from exc
         if payload is None:
             raise ManifestMissing(f"{path} does not exist")
-        for name in ("loops", "base_lut", "base_ff"):
-            if name not in payload:
-                raise ManifestMissing(f"{path} lacks required field {name!r}")
-        try:
-            loops = tuple(LoopSpec(label=l["label"], trip_count=int(l["trip_count"]),
-                                   body_ops=int(l["body_ops"]), mult_ops=int(l.get("mult_ops", 0)))
-                          for l in payload["loops"])
-            arrays = tuple(ArraySpec(label=a["label"], depth=int(a["depth"]),
-                                     elem_bytes=int(a["elem_bytes"]))
-                           for a in payload.get("arrays", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestMissing(f"{path} has a malformed loop/array entry: {exc}") from exc
-        return cls(loops=loops, arrays=arrays, base_lut=int(payload["base_lut"]),
-                   base_ff=int(payload["base_ff"]),
-                   clock_target_ns=float(payload.get("clock_target_ns", 10.0)))
+        return cls(loops=_manifest_entries(path, payload, "loops", LoopSpec),
+                   arrays=_manifest_entries(path, payload, "arrays", ArraySpec, []),
+                   base_lut=manifest_value(path, payload, "base_lut", int),
+                   base_ff=manifest_value(path, payload, "base_ff", int),
+                   clock_target_ns=manifest_value(path, payload, "clock_target_ns", float,
+                                                  default=10.0))
 
 
 @dataclass(frozen=True)
@@ -483,9 +496,11 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
     env = {**os.environ, **dict(spec.environment)} if spec.environment else None
     start = time.monotonic()
     try:
-        # a session of its own, so a timeout can kill every process the tool spawned
+        # a session of its own, so a timeout can kill every process the tool spawned;
+        # its group is published for the pool's parent to kill should this worker die
         with subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True, env=env, start_new_session=True) as proc:
+            set_tool_group(proc.pid)
             try:
                 stdout, stderr = proc.communicate(timeout=spec.timeout_s)
                 status = STATUS_OK if proc.returncode == 0 else STATUS_FAILED
@@ -502,6 +517,8 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
     except OSError as exc:
         status = STATUS_FAILED
         stdout, stderr, tail = "", str(exc), "failed to launch"
+    finally:
+        set_tool_group(0)  # the tool is reaped: its number may be given out again
     runtime = time.monotonic() - start
     log_path.write_text(
         f"command: {' '.join(argv)}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n{tail}\n")

@@ -31,6 +31,7 @@ from hlsforge.aggregate import (
 )
 from hlsforge.cli import build_flow_specs, bundled_designs_dir, extract_reports, main, run_flows
 from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend
+from hlsforge.executor import execute
 from hlsforge.frontends import FrontendConfig, execute_frontend
 from hlsforge.toolflows import (
     STATUS_FAILED,
@@ -133,6 +134,25 @@ def test_an_interrupt_kills_the_whole_process_group(tmp_path, monkeypatch):
         run_flow(spec, design)
     time.sleep(1.5)
     assert not (design.dir / "late.txt").exists()
+
+
+def test_a_lost_worker_takes_its_tools_process_group_along(tmp_path):
+    source = tmp_path / "src_ds"
+    for name in ("fir", "gemm"):
+        shutil.copytree(bundled_designs_dir() / name, source / name)
+    work = tmp_path / "work"
+    execute_frontend({"ds": load_dataset(source, "ds")}, FrontendConfig(n_samples=1),
+                     WorkspaceLayout(work))
+    # on fir the tool leaves a child behind, kills its worker, and would run on
+    spec = custom_flow("die", ("sh", "-c", "case $(pwd) in *fir*) (sleep 1; touch late.txt) & "
+                                           "kill -9 $PPID; sleep 1;; esac; true"))
+    collection = load_post_frontend(work)
+    chains, _ = execute(collection, [spec], 2)
+    designs = [design for dataset in collection.values() for design in dataset.designs]
+    assert {design.base_name: outcome.status for design, (outcome,) in zip(designs, chains)} \
+        == {"fir": STATUS_FAILED, "gemm": STATUS_OK}
+    time.sleep(1.5)
+    assert not list(work.rglob("late.txt"))
 
 
 def live_processes_in_group(pgid: int) -> list[int]:

@@ -151,6 +151,7 @@ def test_a_float_constant_takes_any_number():
     [{"type": "mock_synth", "constants": {"lut_per_op": 25.0}}],
     [{"type": "mock_impl", "constants": {"impl_scale": "0.9"}}],
     [{"type": "mock_impl", "constants": {"version": 2024}}],
+    [{"type": "mock_synth", "constants": {"default_clock_target_ns": 5.0}}],
 ])
 def test_build_flow_specs_rejects(raw):
     with pytest.raises(ConfigError):
@@ -250,6 +251,18 @@ def test_build_rejects_unknown_flow_before_touching_work(tmp_path, capsys):
     config = write_config(tmp_path, flows=[{"type": "warp_drive"}])
     assert main(["build", "--config", str(config)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flows", [
+    [{"type": "mock_synth"}, {"type": "mock_synth"}],
+    [{"type": "mock_synth"}, {"type": "custom", "name": "mock_hls_synth",
+                              "command": ["sh", "-c", "true"]}],
+])
+def test_build_rejects_two_flows_of_one_name(tmp_path, capsys, flows):
+    config = write_config(tmp_path, flows=flows)
+    assert main(["build", "--config", str(config)]) == 2
+    assert "config error: flows[0] and flows[1] are both named 'mock_hls_synth'" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flow", [

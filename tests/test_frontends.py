@@ -245,6 +245,19 @@ def test_lower_intel_unknown_array_label(tmp_path):
         lower_intel(design, assignment, layout)
 
 
+@pytest.mark.parametrize("elem_bytes", ["4", 4.0, True])
+def test_lower_intel_takes_elem_bytes_only_as_an_int(tmp_path, elem_bytes):
+    root = tmp_path / "ds"
+    manifest = dict(SIMPLE_MANIFEST, arrays=[{"label": "buf", "depth": 64,
+                                              "elem_bytes": elem_bytes}])
+    make_design(root, "d", template=PARTITION_TEMPLATE, manifest=manifest)
+    design = load_dataset(root).designs[0]
+    assignment = next(iter_assignments(enumerate_design_space(
+        parse_opt_template(PARTITION_TEMPLATE))))
+    with pytest.raises(ManifestMissing, match=r"field arrays\[0\]\.'elem_bytes' holds "):
+        lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
+
+
 def test_lower_intel_missing_anchor_raises(tmp_path):
     source = "void top(int *a) {\n  for (int i = 0; i < 4; i++) a[i] = i;\n}\n"
     root = tmp_path / "ds"
@@ -438,3 +451,33 @@ def test_a_lowering_error_in_the_pool_leaves_other_bases_lowered(tmp_path, monke
         assert "#pragma unroll" in (design.dir / f"{design.base_name}.c").read_text()
     assert sorted(p.name.split("__")[0] for p in (work / "ds__post_frontend").iterdir()) \
         == ["a"] * 6 + ["z"] * 6
+
+
+def test_a_failed_design_leaves_only_the_directories_it_was_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(frontends, "local_workers", lambda: 2)
+    root = tmp_path / "ds"
+    make_design(root, "d")
+    design = load_dataset(root).designs[0]
+    layout = WorkspaceLayout(tmp_path / "w")
+    first, *_, failing = iter_assignments(simple_space())
+    held = lower_xilinx(design, first, layout)  # then made to hold another assignment
+    data = json.loads((held.dir / "data_design.json").read_text())
+    data["assignment"][0]["choice"] = "99"
+    (held.dir / "data_design.json").write_text(json.dumps(data))
+    before = tree_bytes(held.dir)
+    lower = frontends._lower
+
+    def lower_then_fail(design, assignment, layout, vendor):
+        concrete = lower(design, assignment, layout, vendor)
+        if canonical_text(assignment) == canonical_text(failing):
+            raise RuntimeError("failed after the copy")
+        return concrete
+
+    monkeypatch.setattr(frontends, "_lower", lower_then_fail)
+    result = execute_frontend({"ds": load_dataset(root)}, FrontendConfig(random_sample=False),
+                              layout)
+    assert [message.split(":")[0] for _, _, message in result.failures] \
+        == ["IdCollision", "RuntimeError"]
+    assert result.sizes[("ds", "d")] == (0, 0) and result.collection == {}
+    assert [path.name for path in (tmp_path / "w" / "ds__post_frontend").iterdir()] == [held.id]
+    assert tree_bytes(held.dir) == before

@@ -17,7 +17,7 @@ import hlsforge.frontends as frontends
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.errors import WorkerLost
 from hlsforge.frontends import FrontendConfig, execute_frontend
-from hlsforge.pool import current_worker, fork_imap, fork_map
+from hlsforge.pool import current_worker, fork_imap
 from conftest import make_design
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,14 +38,14 @@ def kill_own_worker_at_5(x: int):
 
 @pytest.mark.parametrize("chunksize", [None, 1, 4])
 def test_a_killed_worker_costs_only_the_item_it_was_running(chunksize):
-    results = fork_map(kill_own_worker_at_5, list(range(40)), 2, chunksize=chunksize,
-                       on_lost=lambda x: ("lost", x))
+    results = list(fork_imap(kill_own_worker_at_5, list(range(40)), 2, chunksize=chunksize,
+                             on_lost=lambda x: ("lost", x)))
     assert results == [("lost", 5) if x == 5 else x * x for x in range(40)]
 
 
 def test_a_killed_worker_without_on_lost_raises_worker_lost():
     with pytest.raises(WorkerLost, match="exited with status -9 running item 5"):
-        fork_map(kill_own_worker_at_5, list(range(40)), 2, chunksize=4)
+        list(fork_imap(kill_own_worker_at_5, list(range(40)), 2, chunksize=4))
 
 
 def shuffled_square(x: int) -> int:
@@ -55,7 +55,7 @@ def shuffled_square(x: int) -> int:
 
 @pytest.mark.parametrize("chunksize", [None, 1, 3, 50])
 def test_results_come_back_in_item_order(chunksize):
-    assert fork_map(shuffled_square, list(range(120)), 3, chunksize=chunksize) \
+    assert list(fork_imap(shuffled_square, list(range(120)), 3, chunksize=chunksize)) \
         == [x * x for x in range(120)]
 
 
@@ -80,7 +80,7 @@ def worker_of(x: int) -> int:
 
 
 def test_single_items_go_to_the_next_free_worker():
-    workers = fork_map(worker_of, list(range(20)), 2, chunksize=1)
+    workers = list(fork_imap(worker_of, list(range(20)), 2, chunksize=1))
     assert workers[0] != workers[1]
     assert workers[1:] == [workers[1]] * 19  # the other worker ran everything else
 
@@ -158,4 +158,4 @@ def unpicklable_at_3(x: int):
 
 def test_a_result_that_does_not_pickle_propagates():
     with pytest.raises(Exception, match="pickle"):
-        fork_map(unpicklable_at_3, list(range(8)), 2, chunksize=4)
+        list(fork_imap(unpicklable_at_3, list(range(8)), 2, chunksize=4))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -140,6 +141,28 @@ def test_extract_directives_bare_tree(tmp_path):
     profile = extract_directives(d)
     assert profile.mode == "bare"
     assert (profile.unroll, profile.banks) == ({}, {})
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"base_ff": "80"}, "'base_ff'"),
+    ({"base_lut": True}, "'base_lut'"),
+    ({"base_ff": 64.9}, "'base_ff'"),
+    ({"clock_target_ns": "10"}, "'clock_target_ns'"),
+    ({"loops": [{"label": "lp1", "trip_count": 16.0, "body_ops": 4}]}, "loops[0].'trip_count'"),
+    ({"loops": [{"label": 1, "trip_count": 16, "body_ops": 4}]}, "loops[0].'label'"),
+    ({"arrays": [{"label": "buf", "depth": 64, "elem_bytes": "4"}]}, "arrays[0].'elem_bytes'"),
+    ({"arrays": {"buf": 64}}, "'arrays'"),
+])
+def test_manifest_values_are_checked_not_coerced(tmp_path, change, field):
+    make_design(tmp_path, "d", manifest={**SIMPLE_MANIFEST, **change})
+    with pytest.raises(ManifestMissing, match=re.escape(f"field {field} holds ")):
+        MockManifest.load(tmp_path / "d")
+
+
+def test_a_manifest_int_reads_as_a_float_where_a_float_is_due(tmp_path):
+    make_design(tmp_path, "d", manifest={**SIMPLE_MANIFEST, "clock_target_ns": 8})
+    clock = MockManifest.load(tmp_path / "d").clock_target_ns
+    assert clock == 8.0 and isinstance(clock, float)
 
 
 def manifest_from(payload: dict) -> MockManifest:
