@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import struct
+import sys
 import tempfile
 import zipfile
 import zlib
@@ -314,6 +315,20 @@ def _design_columns(design_dir: Path) -> dict:
     return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
 
 
+# the text columns whose values repeat from row to row: a base name, a tool version
+_SHARED_COLUMNS = tuple(name for name, kind in COLUMN_TYPES.items()
+                        if kind is str and name not in ("design_id", "assignment_summary"))
+
+
+def _share_strings(row: AggregatedRow) -> AggregatedRow:
+    """Give the row's repeating text cells the one interned copy every row shares."""
+    for name in _SHARED_COLUMNS:
+        value = getattr(row, name)
+        if type(value) is str:
+            setattr(row, name, sys.intern(value))
+    return row
+
+
 def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
     """Flatten one design directory into a table row; absent or unreadable files leave nulls."""
     design_dir = Path(design_dir)
@@ -324,7 +339,7 @@ def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
         if section is not None:
             for name, column in columns:
                 setattr(row, column, getattr(section, name))
-    return row
+    return _share_strings(row)
 
 
 def aggregate_collection(work_dir: Path) -> AggregatedTable:
@@ -407,7 +422,7 @@ def load_table(path: Path) -> AggregatedTable:
                 row = AggregatedRow()
                 for name in COLUMNS:
                     setattr(row, name, value(name, record.get(name)))
-                rows.append(row)
+                rows.append(_share_strings(row))
     except FileNotFoundError as exc:
         raise SourceUnreadable(f"table file {path} does not exist") from exc
     # undecodable bytes, invalid JSON or CSV, a line that is no object, a bad cell

@@ -8,7 +8,6 @@ aggregation operate on that tree.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -22,14 +21,24 @@ from typing import get_args
 from .errors import EmptyDataset, MalformedReport, ManifestMissing, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
 
+# The SHA-256 module itself: hashlib would load OpenSSL's _hashlib, some 3.5 MB
+# resident, for the same digests. (CPython 3.12 renamed it _sha2.)
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 OPT_TEMPLATE_FILENAME = "opt_template.tcl"
 OPT_RENDERED_FILENAME = "opt.tcl"
 DESIGN_DATA_FILENAME = "data_design.json"
+MANIFEST_FILENAME = "mock_manifest.json"
 POST_FRONTEND_SUFFIX = "__post_frontend"
 VENDORS = ("xilinx", "intel")
 # file suffixes of compilation units, and of every source a lowering may annotate
 COMPILED_SUFFIXES = (".c", ".cc", ".cpp", ".cxx")
 SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
+# where a lowering for intel puts a label's annotations, and where they are read back
+ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _JSON_BLOCK_TOKENS = 4096
@@ -190,7 +199,7 @@ def load_dataset(dataset_dir: Path, name: str | None = None) -> DesignDataset:
 
 def concrete_design_id(base_name: str, assignment: DirectiveAssignment) -> str:
     """<base_name>__<hash8>: first 8 hex chars of SHA-256 over the canonical rendering."""
-    digest = hashlib.sha256(canonical_text(assignment).encode("utf-8")).hexdigest()
+    digest = sha256(canonical_text(assignment).encode("utf-8")).hexdigest()
     return f"{base_name}__{digest[:8]}"
 
 

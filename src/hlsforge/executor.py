@@ -6,10 +6,11 @@ strategies: fine_grained keeps one shared FIFO queue of chains for every design
 of every dataset, so a worker that finishes early takes the next chain of any
 dataset; naive runs the datasets one after another, draining the workers
 between them (the barrier real batch scripts tend to have). Every chain runs on
-the one pool of forked processes that lowering uses (pool.fork_imap), and the
-parent records each chain as its result arrives. Mock chains go out in chunks;
-a chain with an external flow can run for hours, so such chains go out one at
-a time and a worker takes the next only when it is free. A chain whose worker
+the one pool of forked processes that lowering uses (pool.fork_imap). A chain
+sends back only each flow's status, runtime and start and end times; the
+parent builds the outcomes and records as each result arrives. Mock chains go
+out in chunks; a chain with an external flow can run for hours, so such chains
+go out one at a time and a worker takes the next only when it is free. A chain whose worker
 dies fails alone, with WorkerLost in each flow's log, and the build goes on.
 simulate_schedule replays either policy on given durations without running
 anything, for planning and for quantifying the gap.
@@ -18,13 +19,14 @@ anything, for planning and for quantifying the gap.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .core import DatasetCollection, design_identity, replace_on_success, write_json
+from .core import DatasetCollection, design_dir, design_identity, replace_on_success, write_json
 from .errors import WorkerLost
 from .pool import current_worker, fork_imap
 from .toolflows import (
@@ -67,29 +69,29 @@ class Timeline:
         return max((r.end_s for r in self.records), default=0.0)
 
 
-def _extract(design, flows: tuple, version: str, steps: list) -> None:
-    """Write the design's data_*.json; one that cannot be written fails the first flow."""
-    if not flows:
-        return
-    try:
-        extract_design(design, flows[0], version, steps[0][0])
-    except OSError as exc:
-        outcome, start, end = steps[0]
-        with open(outcome.log_path, "a") as log:
-            log.write(f"extraction failed: {type(exc).__name__}: {exc}\n")
-        steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
+def _finish(design, flows: tuple, version: str, steps: list) -> list:
+    """Write the design's data_*.json, then the chain's result: (status, runtime_s,
+    start, end) per flow. A data_*.json that cannot be written fails the first flow."""
+    if flows:
+        try:
+            extract_design(design, flows[0], version, steps[0][0])
+        except OSError as exc:
+            outcome, start, end = steps[0]
+            with open(outcome.log_path, "a") as log:
+                log.write(f"extraction failed: {type(exc).__name__}: {exc}\n")
+            steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
+    return [(outcome.status, outcome.runtime_s, start, end) for outcome, start, end in steps]
 
 
 def _run_chain(flows: tuple, version: str, design) -> tuple:
-    """Run the flows, then write the data_*.json: (current_worker(), [(outcome, start, end)]),
+    """Run the flows, then write the data_*.json: (current_worker(), _finish's result),
     stamped with time.monotonic()."""
     steps = []
     for flow in flows:
         start = time.monotonic()
         outcome = run_flow(flow, design)
         steps.append((outcome, start, time.monotonic()))
-    _extract(design, flows, version, steps)
-    return current_worker(), steps
+    return current_worker(), _finish(design, flows, version, steps)
 
 
 def _lose_chain(flows: tuple, version: str, design) -> tuple:
@@ -98,8 +100,7 @@ def _lose_chain(flows: tuple, version: str, design) -> tuple:
     lost = WorkerLost("the pool worker running this chain exited before it finished")
     now = time.monotonic()
     steps = [(failed_outcome(flow, design, lost), now, now) for flow in flows]
-    _extract(design, flows, version, steps)
-    return (-1, None), steps
+    return (-1, None), _finish(design, flows, version, steps)
 
 
 def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
@@ -109,7 +110,8 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
     its design's data_*.json, under the first flow's tool version, asked once here.
 
     Returns each design's outcomes, one per flow, in job order (datasets in
-    collection order, then designs in dataset order), and the timeline: one
+    collection order, then designs in dataset order), each with the log its
+    flow wrote, <flow name>.log in the design directory, and the timeline: one
     record per (design, flow), on a clock that starts with the first chain,
     after the workers have forked. A chain whose worker died reads failed for
     every flow, recorded at the time of the loss on worker -1.
@@ -134,10 +136,14 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
             for (dataset_name, design), ((index, core), steps) in zip(batch, results):
                 if pin_cores and index >= 0:
                     timeline.pinning[index] = core
-                for flow, (outcome, start, end) in zip(flows, steps):
-                    job = Job(design_identity(design), dataset_name, flow.name)
-                    records.append(ExecutionRecord(job, index, start, end, outcome.status))
-                chains.append([outcome for outcome, _, _ in steps])
+                ident, root, outcomes = design_identity(design), design_dir(design), []
+                for flow, (status, runtime_s, start, end) in zip(flows, steps):
+                    status = sys.intern(status)
+                    records.append(ExecutionRecord(Job(ident, dataset_name, flow.name), index,
+                                                   start, end, status))
+                    outcomes.append(FlowOutcome(ident, flow.name, status, runtime_s,
+                                                root / f"{flow.name}.log"))
+                chains.append(outcomes)
     # the clock starts with the first chain: the pool's start-up stays out of the timeline
     origin = min((r.start_s for r in records), default=0.0)
     for i, r in enumerate(records):

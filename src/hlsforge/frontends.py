@@ -17,8 +17,6 @@ refused as an IdCollision and never overwrites the first.
 
 from __future__ import annotations
 
-import hashlib
-import re
 import shutil
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -26,7 +24,9 @@ from functools import partial
 from pathlib import Path
 
 from .core import (
+    ANCHOR_RE,
     DESIGN_DATA_FILENAME,
+    MANIFEST_FILENAME,
     OPT_RENDERED_FILENAME,
     OPT_TEMPLATE_FILENAME,
     SOURCE_SUFFIXES,
@@ -39,8 +39,8 @@ from .core import (
     concrete_design_id,
     design_identity,
     list_design_files,
-    manifest_value,
     read_json,
+    sha256,
     write_json,
 )
 from .errors import (
@@ -66,10 +66,9 @@ from .optdsl import (
 )
 from .pool import fork_imap, local_workers
 from .rng import Xoshiro256StarStar
+from .toolflows import MockManifest
 
-MANIFEST_FILENAME = "mock_manifest.json"
 PROVENANCE_FILENAME = "data_intel_provenance.json"
-ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 # spaces up to this size are sampled by a partial Fisher-Yates shuffle of the
 # index range, larger ones by rejection; both keep O(k) state, and the limit
@@ -229,14 +228,11 @@ def map_directive_to_intel(line: DirectiveLine, choice: str,
 
 
 def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
-    manifest_path = design_dir / MANIFEST_FILENAME
-    manifest = read_json(manifest_path)
-    if manifest is None:
-        raise ManifestMissing(f"{manifest_path} is required for array_partition lowering")
-    for i, array in enumerate(manifest.get("arrays", [])):
-        if array.get("label") == label:
-            return manifest_value(manifest_path, array, "elem_bytes", int, f"arrays[{i}].")
-    raise LabelUnknown(f"array label {label!r} not defined in {manifest_path}")
+    """The element width of array label in the design's manifest, read by MockManifest.load."""
+    for array in MockManifest.load(design_dir).arrays:
+        if array.label == label:
+            return array.elem_bytes
+    raise LabelUnknown(f"array label {label!r} not defined in {design_dir / MANIFEST_FILENAME}")
 
 
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
@@ -298,12 +294,16 @@ def _lower(design: AbstractDesign, assignment: DirectiveAssignment, layout: Work
 
 
 def _design_seed(base_seed: int, design_name: str) -> int:
-    digest = hashlib.sha256(design_name.encode("utf-8")).digest()
+    digest = sha256(design_name.encode("utf-8")).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & ((1 << 64) - 1)
 
 
+def _lowers(design) -> bool:
+    return isinstance(design, AbstractDesign) and design.frontend_ready
+
+
 def _pass_through(design, layout: WorkspaceLayout):
-    out_dir = layout.post_frontend_dir(design.dataset_name) / design_identity(design)
+    out_dir = _out_dir(layout, design, design_identity(design))
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     src = design.dir if isinstance(design, ConcreteDesign) else design.source_dir
     _fresh_copy(src, out_dir)
@@ -365,35 +365,41 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     seed reproduces the whole tree byte for byte. Every id is computed here
     before any point is lowered; the points are then lowered on one forked
     process per available core. A point whose id another assignment holds, in
-    this run or in an existing data_design.json, fails alone as an IdCollision.
+    this run or in an existing data_design.json, or whose directory a design
+    copied through takes, fails alone as an IdCollision.
     Any other failure, a lost worker included, fails the whole design, and
     every directory of its points is removed, bar those refused as collisions.
     """
     layout.ensure()
     result = FrontendResult(collection={})
-    bases: list[_Base] = []
-    for dataset_name, dataset in collection.items():
-        for design in dataset.designs:
-            base = _Base(dataset_name, design)
-            bases.append(base)
-            if not isinstance(design, AbstractDesign) or not design.frontend_ready:
-                base.lowered.append(_pass_through(design, layout))
-                continue
-            try:
-                base.space_size, assignments = _sample(design, config)
-            except Exception as exc:  # per-design isolation: record and move on
-                base.error = _failure(exc)
-                continue
-            claimed: dict = {}  # design id -> canonical selections; ids carry the design name
-            for assignment in assignments:
-                design_id = concrete_design_id(design.name, assignment)
-                selections = assignment.canonicalized().selections
-                if design_id not in claimed:
-                    claimed[design_id] = selections
-                    base.points.append((assignment, design_id))
-                elif claimed[design_id] != selections:  # equal: the same design
-                    base.collisions.append(_failure(IdCollision(
-                        f"{design_id} is taken by another assignment of {design.name!r}")))
+    bases = [_Base(dataset_name, design)
+             for dataset_name, dataset in collection.items() for design in dataset.designs]
+    # the directories of the designs copied through, which no point may take
+    copied = {_out_dir(layout, base.design, design_identity(base.design))
+              for base in bases if not _lowers(base.design)}
+    for base in bases:
+        design = base.design
+        if not _lowers(design):
+            base.lowered.append(_pass_through(design, layout))
+            continue
+        try:
+            base.space_size, assignments = _sample(design, config)
+        except Exception as exc:  # per-design isolation: record and move on
+            base.error = _failure(exc)
+            continue
+        claimed: dict = {}  # design id -> canonical selections; ids carry the design name
+        for assignment in assignments:
+            design_id = concrete_design_id(design.name, assignment)
+            selections = assignment.canonicalized().selections
+            if _out_dir(layout, design, design_id) in copied:
+                base.collisions.append(_failure(IdCollision(
+                    f"{design_id} is taken by a design copied through without a template")))
+            elif design_id not in claimed:
+                claimed[design_id] = selections
+                base.points.append((assignment, design_id))
+            elif claimed[design_id] != selections:  # equal: the same design
+                base.collisions.append(_failure(IdCollision(
+                    f"{design_id} is taken by another assignment of {design.name!r}")))
 
     points = [(base.design, assignment) for base in bases for assignment, _ in base.points]
     produced: dict[str, list] = {}

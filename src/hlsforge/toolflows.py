@@ -49,7 +49,9 @@ from .aggregate import (
     write_standard_json,
 )
 from .core import (
+    ANCHOR_RE,
     COMPILED_SUFFIXES,
+    MANIFEST_FILENAME,
     SOURCE_SUFFIXES,
     design_dir,
     design_identity,
@@ -67,7 +69,6 @@ from .errors import (
     ManifestMissing,
     SynthReportMissing,
 )
-from .frontends import ANCHOR_RE, MANIFEST_FILENAME
 from .pool import set_tool_group
 
 STATUS_OK = "ok"

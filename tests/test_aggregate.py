@@ -137,12 +137,12 @@ def test_corrupted_section_reads_as_absent(tmp_path):
     assert loaded.hls is not None
 
 
-def make_design_dir(tmp_path, name="d__12345678", with_meta=True, bundle=None):
+def make_design_dir(tmp_path, name="d__12345678", with_meta=True, bundle=None, base_name="d"):
     d = tmp_path / name
     d.mkdir(parents=True, exist_ok=True)
     if with_meta:
         (d / "data_design.json").write_text(json.dumps({
-            "base_name": "d", "id": name, "vendor": "xilinx",
+            "base_name": base_name, "id": name, "vendor": "xilinx",
             "assignment": [
                 {"group": "g", "label": "lp1", "line_index": 0, "directive": "pipeline",
                  "choice": ""},
@@ -197,6 +197,21 @@ def test_aggregate_collection_walks_post_frontend_trees(tmp_path):
     assert all(r.dataset == "ds__post_frontend" for r in table.rows)
     with pytest.raises(MissingDirectory):
         aggregate_collection(tmp_path / "missing")
+
+
+def test_rows_of_one_base_share_their_repeating_text(tmp_path):
+    work = tmp_path / "work"
+    for name in ("kernel__11111111", "kernel__22222222"):
+        make_design_dir(work / "ds__post_frontend", name=name, bundle=sample_bundle(),
+                        base_name="kernel")
+    table = aggregate_collection(work)
+    tables = [table] + [load_table(export_tabular(table, tmp_path / f"t.{fmt}", format=fmt))
+                        for fmt in ("csv", "jsonl")]
+    for first, second in (t.rows for t in tables):
+        for column in ("base_name", "dataset", "vendor", "exec_tool_version", "exec_status"):
+            assert getattr(first, column) == getattr(second, column) is not None
+            assert getattr(first, column) is getattr(second, column), column
+        assert first.design_id != second.design_id
 
 
 def test_export_and_load_round_trip(tmp_path):

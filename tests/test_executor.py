@@ -25,7 +25,14 @@ from hlsforge.executor import (
     write_timeline,
 )
 from hlsforge.frontends import FrontendConfig, execute_frontend
-from hlsforge.toolflows import STATUS_OK, mock_impl_flow, mock_synth_flow, run_flow
+from hlsforge.toolflows import (
+    STATUS_FAILED,
+    STATUS_OK,
+    custom_flow,
+    mock_impl_flow,
+    mock_synth_flow,
+    run_flow,
+)
 from conftest import make_design
 
 
@@ -293,3 +300,37 @@ def test_the_timeline_clock_starts_after_the_workers_have_forked(tmp_path, monke
     monkeypatch.setattr(os, "fork", slow_fork)
     _, timeline = execute(collection, [mock_synth_flow()], 2)
     assert min(r.start_s for r in timeline.records) < 0.1
+
+
+def test_outcomes_name_each_flows_log_and_match_the_timeline(tmp_path):
+    collection = lowered_collection(tmp_path)
+    flows = [mock_synth_flow(), custom_flow("odd", ("sh", "-c", "case $(pwd) in *b0__*) exit 3;; "
+                                                                "esac; echo ran"))]
+    chains, timeline = execute(collection, flows, 2)
+    status = {(r.job.dataset_name, r.job.design_id, r.job.flow_name): r.status
+              for r in timeline.records}
+    jobs = [(name, design) for name, dataset in collection.items() for design in dataset.designs]
+    assert len(chains) == len(jobs) == 12 and len(status) == 24
+    for (name, design), chain in zip(jobs, chains):
+        for flow, outcome in zip(flows, chain):
+            assert (outcome.design_id, outcome.flow_name) == (design.id, flow.name)
+            assert outcome.log_path == design.dir / f"{flow.name}.log"
+            assert outcome.log_path.is_file()
+            assert outcome.status is status[(name, design.id, flow.name)]
+        assert chain[1].status == (STATUS_FAILED if design.base_name == "b0" else STATUS_OK)
+
+
+def test_a_lost_chain_reads_failed_with_worker_lost_in_each_log(tmp_path):
+    collection = lowered_collection(tmp_path)
+    flows = [mock_synth_flow(), custom_flow("die", ("sh", "-c", "case $(pwd) in *b0__*) "
+                                                                "kill -9 $PPID; sleep 1;; esac"))]
+    chains, timeline = execute(collection, flows, 2)
+    designs = [design for dataset in collection.values() for design in dataset.designs]
+    for design, chain in zip(designs, chains):
+        lost = design.base_name == "b0"
+        for flow, outcome in zip(flows, chain):
+            assert outcome.log_path == design.dir / f"{flow.name}.log"
+            assert outcome.status == (STATUS_FAILED if lost else STATUS_OK)
+            assert outcome.log_path.read_text().startswith(
+                f"flow {flow.name} failed: WorkerLost: ") == lost
+    assert sorted({r.worker_index for r in timeline.records if r.status == STATUS_FAILED}) == [-1]

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from hlsforge.cli import bundled_designs_dir
 from hlsforge.core import (
     AbstractDesign,
     ConcreteDesign,
     WorkspaceLayout,
+    concrete_design_id,
+    design_identity,
     load_dataset,
     load_post_frontend,
 )
@@ -258,6 +262,16 @@ def test_lower_intel_takes_elem_bytes_only_as_an_int(tmp_path, elem_bytes):
         lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
 
 
+def test_lower_intel_reads_the_manifest_through_its_typed_loader(tmp_path):
+    root = tmp_path / "ds"
+    make_design(root, "d", template=PARTITION_TEMPLATE, manifest=dict(SIMPLE_MANIFEST, arrays=[7]))
+    design = load_dataset(root).designs[0]
+    assignment = next(iter_assignments(enumerate_design_space(
+        parse_opt_template(PARTITION_TEMPLATE))))
+    with pytest.raises(ManifestMissing, match=r"arrays\[0\] is not an object"):
+        lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
+
+
 def test_lower_intel_missing_anchor_raises(tmp_path):
     source = "void top(int *a) {\n  for (int i = 0; i < 4; i++) a[i] = i;\n}\n"
     root = tmp_path / "ds"
@@ -481,3 +495,35 @@ def test_a_failed_design_leaves_only_the_directories_it_was_refused(tmp_path, mo
     assert result.sizes[("ds", "d")] == (0, 0) and result.collection == {}
     assert [path.name for path in (tmp_path / "w" / "ds__post_frontend").iterdir()] == [held.id]
     assert tree_bytes(held.dir) == before
+
+
+def test_a_point_whose_id_names_a_design_copied_through_is_refused(tmp_path):
+    root = tmp_path / "ds"
+    make_design(root, "d")
+    config = FrontendConfig(n_samples=1, seed=0)
+    [assignment] = frontends._sample(load_dataset(root).designs[0], config)[1]
+    taken = concrete_design_id("d", assignment)
+    make_design(root, taken, template=None, extra={"marker.txt": "copied through\n"})
+    work = tmp_path / "work"
+    result = execute_frontend({"ds": load_dataset(root, "ds")}, config, WorkspaceLayout(work))
+    assert result.collisions == 1
+    [(dataset, name, message)] = result.failures
+    assert (dataset, name) == ("ds", "d") and message.startswith("IdCollision: ")
+    assert result.sizes == {("ds", "d"): (6, 0), ("ds", taken): (1, 1)}
+    [copy] = result.collection["ds__post_frontend"].designs
+    assert isinstance(copy, AbstractDesign) and design_identity(copy) == taken
+    assert (copy.source_dir / "marker.txt").read_text() == "copied through\n"
+    assert sorted(tree_bytes(copy.source_dir)) == sorted(tree_bytes(root / taken))
+
+
+def test_ids_and_seeds_are_the_sha256_digests_of_hashlib():
+    designs = [d for d in load_dataset(bundled_designs_dir()).designs if d.frontend_ready]
+    assert len(designs) == 12
+    for design in designs:
+        seed = int.from_bytes(hashlib.sha256(design.name.encode()).digest()[:8], "big")
+        assert frontends._design_seed(0, design.name) == seed
+        space = enumerate_design_space(parse_opt_template(
+            (design.source_dir / "opt_template.tcl").read_text()))
+        for assignment in iter_assignments(space):
+            digest = hashlib.sha256(canonical_text(assignment).encode()).hexdigest()
+            assert concrete_design_id(design.name, assignment) == f"{design.name}__{digest[:8]}"

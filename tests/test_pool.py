@@ -152,6 +152,37 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("multiprocessing"
     assert done.stdout.strip() == "[]"
 
 
+def test_a_whole_run_never_loads_openssl(tmp_path):
+    """Ids are hashed by the SHA-256 module itself: hashlib would load OpenSSL."""
+    script = f"""
+import sys
+from pathlib import Path
+from hlsforge.aggregate import aggregate_collection, archive_dataset, export_tabular
+from hlsforge.cli import bundled_designs_dir
+from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend
+from hlsforge.executor import execute
+from hlsforge.frontends import FrontendConfig, execute_frontend
+from hlsforge.toolflows import mock_impl_flow, mock_synth_flow
+work = Path({str(tmp_path / "work")!r})
+result = execute_frontend({{"ds": load_dataset(bundled_designs_dir(), "ds")}},
+                          FrontendConfig(vendor="intel", n_samples=2, seed=5),
+                          WorkspaceLayout(work))
+assert not result.failures, result.failures
+chains, _ = execute(load_post_frontend(work), [mock_synth_flow(), mock_impl_flow()], 2)
+assert len(chains) == 24 and all(o.status == "ok" for chain in chains for o in chain)
+table = aggregate_collection(work)
+assert len(table.rows) == 24
+export_tabular(table, work / "aggregated.csv")
+archive_dataset(work, work / "dataset.zip")
+print(sorted(m for m in sys.modules if m in ("_hashlib", "_ssl", "hashlib")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def unpicklable_at_3(x: int):
     return (lambda: x) if x == 3 else x
 
