@@ -93,6 +93,12 @@ def _expect_field_types(where: str, raw: dict, cls) -> None:
                     f"{where}.{key} must have type {hints[key].__name__}, got {value!r}")
 
 
+def _expect_known(where: str, raw: dict, known) -> None:
+    """raw holds only keys in known: a key nothing reads is refused, not ignored."""
+    unknown = sorted(set(raw) - set(known))
+    _expect(not unknown, f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def load_run_config(path: Path) -> RunConfig:
     """Parse and validate the single-JSON run configuration."""
     try:
@@ -100,6 +106,8 @@ def load_run_config(path: Path) -> RunConfig:
     except MalformedReport as exc:
         raise ConfigError(f"config file {exc}") from exc
     _expect(payload is not None, f"config file {path} does not exist")
+    _expect_known(f"config file {path}", payload,
+                  ("work_dir", "seed", "datasets", "frontend", "flows", "executor"))
 
     work_dir = os.environ.get(WORK_DIR_ENV) or payload.get("work_dir")
     _expect(bool(work_dir) and isinstance(work_dir, str),
@@ -115,13 +123,12 @@ def load_run_config(path: Path) -> RunConfig:
 
     raw_frontend = payload.get("frontend", {})
     _expect(isinstance(raw_frontend, dict), "frontend must be an object")
+    # the run's seed is the frontend's
+    _expect_known("frontend", raw_frontend,
+                  {f.name for f in dataclasses.fields(FrontendConfig)} - {"seed"})
     _expect_field_types("frontend", raw_frontend, FrontendConfig)
     try:
-        frontend = FrontendConfig(
-            vendor=raw_frontend.get("vendor", "xilinx"),
-            random_sample=raw_frontend.get("random_sample", True),
-            n_samples=raw_frontend.get("n_samples", 1),
-            seed=seed)
+        frontend = FrontendConfig(**raw_frontend, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"frontend: {exc}") from exc
 
@@ -129,9 +136,11 @@ def load_run_config(path: Path) -> RunConfig:
     _expect(isinstance(flows, list), "flows must be a list")
     for i, flow in enumerate(flows):
         _expect(isinstance(flow, dict) and "type" in flow, f"flows[{i}] must be an object with a type")
+        _expect_known(f"flows[{i}]", flow, _FLOW_KEYS)
 
     executor = payload.get("executor", {})
     _expect(isinstance(executor, dict), "executor must be an object")
+    _expect_known("executor", executor, ("strategy", "n_workers", "pin_cores"))
     strategy = executor.get("strategy", "fine_grained")
     _expect(strategy in STRATEGIES, f"executor.strategy must be {' or '.join(STRATEGIES)}")
     n_workers = executor.get("n_workers", local_workers())
@@ -146,9 +155,8 @@ def load_run_config(path: Path) -> RunConfig:
 
 def _mock_constants(i: int, raw: dict) -> MockCostConstants:
     overrides = raw.get("constants", {})
-    known = {f.name for f in dataclasses.fields(MockCostConstants)}
-    unknown = set(overrides) - known
-    _expect(not unknown, f"unknown mock constant(s): {', '.join(sorted(unknown))}")
+    _expect_known(f"flows[{i}].constants", overrides,
+                  [f.name for f in dataclasses.fields(MockCostConstants)])
     _expect_field_types(f"flows[{i}].constants", overrides, MockCostConstants)
     return dataclasses.replace(MockCostConstants(), **overrides)
 

@@ -36,6 +36,7 @@ from .toolflows import (
     ToolFlowSpec,
     extract_design,
     failed_outcome,
+    flow_log,
     run_flow,
     tool_version,
 )
@@ -111,7 +112,7 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
 
     Returns each design's outcomes, one per flow, in job order (datasets in
     collection order, then designs in dataset order), each with the log its
-    flow wrote, <flow name>.log in the design directory, and the timeline: one
+    flow wrote (toolflows.flow_log), and the timeline: one
     record per (design, flow), on a clock that starts with the first chain,
     after the workers have forked. A chain whose worker died reads failed for
     every flow, recorded at the time of the loss on worker -1.
@@ -142,7 +143,7 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
                     records.append(ExecutionRecord(Job(ident, dataset_name, flow.name), index,
                                                    start, end, status))
                     outcomes.append(FlowOutcome(ident, flow.name, status, runtime_s,
-                                                root / f"{flow.name}.log"))
+                                                flow_log(root, flow.name)))
                 chains.append(outcomes)
     # the clock starts with the first chain: the pool's start-up stays out of the timeline
     origin = min((r.start_s for r in records), default=0.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import shutil
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from .core import (
     VENDORS,
     WorkspaceLayout,
     concrete_design_id,
+    design_dir,
     design_identity,
     list_design_files,
     read_json,
@@ -302,11 +303,12 @@ def _lowers(design) -> bool:
     return isinstance(design, AbstractDesign) and design.frontend_ready
 
 
-def _pass_through(design, layout: WorkspaceLayout):
-    out_dir = _out_dir(layout, design, design_identity(design))
+def _pass_through(design, dataset_name: str, layout: WorkspaceLayout):
+    """A copy of a design that is not lowered (a ConcreteDesign included), under its
+    id in the directory of dataset_name."""
+    out_dir = layout.post_frontend_dir(dataset_name) / design_identity(design)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    src = design.dir if isinstance(design, ConcreteDesign) else design.source_dir
-    _fresh_copy(src, out_dir)
+    _fresh_copy(design_dir(design), out_dir)
     if isinstance(design, ConcreteDesign):
         return ConcreteDesign(design.id, design.base_name, out_dir, design.vendor)
     return AbstractDesign(design.name, out_dir.parent.name, out_dir, design.files)
@@ -372,15 +374,16 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     """
     layout.ensure()
     result = FrontendResult(collection={})
-    bases = [_Base(dataset_name, design)
-             for dataset_name, dataset in collection.items() for design in dataset.designs]
-    # the directories of the designs copied through, which no point may take
-    copied = {_out_dir(layout, base.design, design_identity(base.design))
-              for base in bases if not _lowers(base.design)}
+    # a design lands in the directory of the collection key it is passed under
+    bases = [_Base(name, replace(design, dataset_name=name) if _lowers(design) else design)
+             for name, dataset in collection.items() for design in dataset.designs]
+    for base in bases:  # copied through first: no point may take their directories
+        if not _lowers(base.design):
+            base.lowered.append(_pass_through(base.design, base.dataset_name, layout))
+    copied = {design_dir(base.lowered[0]) for base in bases if base.lowered}
     for base in bases:
         design = base.design
         if not _lowers(design):
-            base.lowered.append(_pass_through(design, layout))
             continue
         try:
             base.space_size, assignments = _sample(design, config)

@@ -16,16 +16,18 @@ has sent the results of the one it holds, so with chunks of one item each item
 goes to the next free worker, in item order, as ``executor.simulate_schedule``
 models. Before each item a worker writes its position to a slot in memory it
 shares with the parent, so the parent learns which item a worker was running
-without being woken for every item; a worker waiting on an external tool
-writes the tool's process group next to it (``set_tool_group``).
+without being woken for every item. Each worker also holds a mark, a
+descriptor of a pipe of its own that every tool it starts inherits
+(``tool_fds``), and with it every process such a tool spawns.
 
 A worker that dies (the OOM killer, a tool that kills its parent) closes its
 result pipe early. The parent then makes the result of the item it was running
-with the caller's ``on_lost``, kills the process group of the tool the worker
-was waiting on (the tool runs in a session of its own, so it would outlive
-the worker), forks a fresh worker with the same index, hands the rest of the
-dead worker's chunk to the next free worker and goes on with the map; the
-other workers and their tools are left alone.
+with the caller's ``on_lost``, kills the process group of every process that
+holds the worker's mark (its tools run in sessions of their own, so they would
+outlive it; the mark is theirs from their first instruction, so even a tool
+that kills its worker at once is found), forks a fresh worker with the same
+index, hands the rest of the dead worker's chunk to the next free worker and
+goes on with the map; the other workers and their tools are left alone.
 
 Ctrl-C reaches the workers as ``KeyboardInterrupt``, and so does the SIGTERM
 the parent sends them when a map ends early (an exception, an interrupt, an
@@ -48,10 +50,10 @@ from .errors import WorkerLost
 # the per-chunk round trip stays small next to the work in it
 CHUNKS_PER_WORKER = 32
 
-# in a pool process: this worker's (index, pinned core), and the slots it shares
-# with the parent; both set once after the fork
+# in a pool process: this worker's (index, pinned core), and its mark; both set
+# once after the fork
 _worker: tuple[int, int | None] = (0, None)
-_running = None
+_mark: int | None = None
 
 
 def local_workers() -> int:
@@ -76,12 +78,35 @@ def current_worker() -> tuple[int, int | None]:
     return _worker
 
 
-def set_tool_group(pgid: int) -> None:
-    """In a pool process, tell the parent the process group of the tool this worker
-    waits on (0: none), which the parent kills should the worker die first;
-    outside a pool, do nothing."""
-    if _running is not None:
-        _running[_worker[0], 1] = pgid
+def tool_fds() -> tuple[int, ...]:
+    """The descriptors a tool started here inherits: in a pool process the worker's
+    mark, by which the parent finds the tools of a worker that died; outside, none."""
+    return () if _mark is None else (_mark,)
+
+
+def _readlink(path: str) -> str:
+    try:
+        return os.readlink(path)
+    except OSError:  # closed while we looked
+        return ""
+
+
+def _kill_holders(mark: str) -> None:
+    """SIGKILL the process group of every process that holds the pipe mark names
+    (Linux /proc), never the caller's own group."""
+    own = os.getpgrp()
+    try:
+        pids = [pid for pid in os.listdir("/proc") if pid.isdigit()]
+    except OSError:  # no /proc: nothing to find
+        return
+    for pid in pids:
+        fds = f"/proc/{pid}/fd"
+        try:
+            if mark in (_readlink(f"{fds}/{fd}") for fd in os.listdir(fds)) \
+                    and (group := os.getpgid(int(pid))) != own:
+                os.killpg(group, signal.SIGKILL)
+        except OSError:  # it exited while we looked, or it is not ours to read
+            continue
 
 
 def _flush_stdio() -> None:
@@ -111,14 +136,23 @@ def _frames(buffer: bytearray):
         yield frame
 
 
+def _settle(reply: tuple):
+    """The result of a worker's (ok, result or exception) reply, or its exception raised."""
+    ok, value = reply
+    if not ok:
+        raise value
+    return value
+
+
 class _Worker:
     """The parent's end of one worker: its pipes, the bytes read from it that
     make no whole frame yet, and the positions of the items it holds, in order."""
 
-    __slots__ = ("index", "pid", "tasks", "results", "unread", "held")
+    __slots__ = ("index", "pid", "tasks", "results", "mark", "unread", "held")
 
-    def __init__(self, index: int, pid: int, tasks: int, results: int):
+    def __init__(self, index: int, pid: int, tasks: int, results: int, mark: str):
         self.index, self.pid, self.tasks, self.results = index, pid, tasks, results
+        self.mark = mark  # what /proc/<pid>/fd/<n> reads for a descriptor of its mark
         self.unread = bytearray()
         self.held = range(0)
 
@@ -133,8 +167,9 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     never changes. Items go out in chunks of chunksize, by default about
     CHUNKS_PER_WORKER chunks per worker; pass 1 when items take long enough
     that each should go to the next free worker. An exception fn raises
-    propagates once every worker is stopped, so fn should turn per-item
-    failures into results. A worker that dies costs the item it was running:
+    propagates in item order, after the results of every earlier item and
+    once every worker is stopped, so fn should turn per-item failures into
+    results. A worker that dies costs the item it was running:
     on_lost(item), called here, makes its result (without on_lost the map
     raises WorkerLost). The rest of its chunk goes to the next free worker,
     and the items of it that had finished run again, since their results
@@ -152,33 +187,34 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     chunksize = chunksize or max(1, n_items // (n_workers * CHUNKS_PER_WORKER))
     workers: dict[int, _Worker] = {}  # by result pipe
     selector = selectors.DefaultSelector()
-    # shared with the workers, a row each: the item it is running (-1 between
-    # chunks) and the process group of the tool it waits on (0: none)
-    running = memoryview(mmap.mmap(-1, 16 * n_workers)).cast("q", (n_workers, 2))
+    # shared with the workers, a slot each: the item it is running (-1 between chunks)
+    running = memoryview(mmap.mmap(-1, 8 * n_workers)).cast("q")
     next_start = 0  # the first item no worker has been given
     received = 0  # results in, from fn or on_lost
     requeued: list[range] = []  # items a lost worker held, but not the one it died on
-    done: dict = {}  # position -> result, until every earlier one is yielded
+    done: dict = {}  # position -> (ok, result or exception), until every earlier one is yielded
 
     def serve(index: int, tasks: int, results: int) -> None:  # the worker's loop
         while message := os.read(tasks, 16):  # empty once the parent closes the pipe
             frames = []
             for position in range(int.from_bytes(message[:8], "little"),
                                   int.from_bytes(message[8:], "little")):
-                running[index, 0] = position
+                running[index] = position
                 try:
                     reply = pickle.dumps((True, fn(items[position])))
                 except Exception as exc:  # from fn, or a result that does not pickle
                     reply = pickle.dumps((False, exc))
                 frames.append(len(reply).to_bytes(4, "little") + reply)
-            running[index, 0] = -1
+            running[index] = -1
             _send(results, b"".join(frames))  # one write a chunk: the parent wakes once
 
     def fork(index: int) -> _Worker:
-        global _worker, _running
+        global _worker, _mark
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
-        running[index, 0], running[index, 1] = -1, 0
+        mark, unused = os.pipe()  # only its identity counts
+        os.close(unused)
+        running[index] = -1
         _flush_stdio()
         pid = os.fork()
         if pid == 0:
@@ -193,7 +229,7 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
                 os.close(task_w)
                 os.close(result_r)
                 _worker = (index, pin_to_core(index) if pin_cores else None)
-                _running = running
+                _mark = mark
                 serve(index, task_r, result_w)
                 code = 0
             except KeyboardInterrupt:
@@ -207,7 +243,9 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
                     os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        worker = workers[result_r] = _Worker(index, pid, task_w, result_r)
+        worker = workers[result_r] = _Worker(index, pid, task_w, result_r,
+                                             f"pipe:[{os.fstat(mark).st_ino}]")
+        os.close(mark)  # no later worker inherits it
         selector.register(result_r, selectors.EVENT_READ, worker)
         return worker
 
@@ -232,23 +270,18 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
         os.close(worker.results)
         os.close(worker.tasks)
         _, status = os.waitpid(worker.pid, 0)
-        tool_group = running[worker.index, 1]
-        if tool_group:  # the tool it waited on, and every process that tool spawned
-            try:
-                os.killpg(tool_group, signal.SIGKILL)
-            except ProcessLookupError:  # the whole group has exited
-                pass
+        _kill_holders(worker.mark)  # its tools, and every process they spawned
         held = worker.held
         if held:
             # the item it died on; outside fn, the first of its chunk, so that every
             # loss settles one item and a map always ends
-            lost = running[worker.index, 0]
+            lost = running[worker.index]
             lost = lost if lost in held else held.start
             if on_lost is None:
                 raise WorkerLost(f"pool worker {worker.index} (pid {worker.pid}) exited with "
                                  f"status {os.waitstatus_to_exitcode(status)} running item "
                                  f"{lost}")
-            done[lost] = on_lost(items[lost])
+            done[lost] = True, on_lost(items[lost])
             received += 1
             # the rest of its chunk runs again, the items it finished included:
             # their results went down with it
@@ -272,16 +305,13 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
                     continue
                 worker.unread += data
                 for frame in _frames(worker.unread):
-                    ok, result = pickle.loads(frame)
-                    if not ok:
-                        raise result
-                    done[worker.held.start] = result
+                    done[worker.held.start] = pickle.loads(frame)
                     worker.held = worker.held[1:]
                     received += 1
                 if not worker.held and (requeued or next_start < n_items):
                     assign(worker)
             while position in done and received < n_items:  # the last ones wait for the reaping
-                yield done.pop(position)
+                yield _settle(done.pop(position))
                 position += 1
     finally:
         for worker in workers.values():
@@ -294,5 +324,5 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
         selector.close()
         running.release()
     for position in range(position, n_items):
-        yield done.pop(position)
+        yield _settle(done.pop(position))
 

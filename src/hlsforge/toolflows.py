@@ -69,7 +69,7 @@ from .errors import (
     ManifestMissing,
     SynthReportMissing,
 )
-from .pool import set_tool_group
+from .pool import tool_fds
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -435,32 +435,24 @@ def simulated_runtime_s(lut: int, ff: int) -> float:
     return round((lut + ff) / 50000.0, 6)
 
 
-def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants(),
-                   flow_name: str = "mock_hls_synth") -> FlowOutcome:
-    """Price the design and write hls_prj/solution1/syn/report/csynth.xml."""
+def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants()) -> str:
+    """Price the design and write hls_prj/solution1/syn/report/csynth.xml; returns the log text."""
     root = design_dir(design)
-    start = time.monotonic()
     manifest = MockManifest.load(root)
     profile = extract_directives(root)
     metrics = compute_mock_synth_metrics(manifest, profile, constants)
     _write_csynth_xml(root / CSYNTH_REPORT_RELPATH, metrics)
-    runtime = time.monotonic() - start
-    log_path = root / f"{flow_name}.log"
-    log_path.write_text(
-        f"mock hls synth ({constants.version}) on {design_identity(design)}\n"
-        f"directive source: {profile.mode}\n"
-        f"unroll={dict(sorted(profile.unroll.items()))} "
-        f"pipelined={sorted(profile.pipelined)} banks={dict(sorted(profile.banks.items()))}\n"
-        f"latency_avg={metrics.latency_avg_cycles} lut={metrics.lut} ff={metrics.ff} "
-        f"dsp={metrics.dsp} bram={metrics.bram} clock_estimate_ns={metrics.clock_estimate_ns}\n")
-    return FlowOutcome(design_identity(design), flow_name, STATUS_OK, runtime, log_path)
+    return (f"mock hls synth ({constants.version}) on {design_identity(design)}\n"
+            f"directive source: {profile.mode}\n"
+            f"unroll={dict(sorted(profile.unroll.items()))} "
+            f"pipelined={sorted(profile.pipelined)} banks={dict(sorted(profile.banks.items()))}\n"
+            f"latency_avg={metrics.latency_avg_cycles} lut={metrics.lut} ff={metrics.ff} "
+            f"dsp={metrics.dsp} bram={metrics.bram} clock_estimate_ns={metrics.clock_estimate_ns}\n")
 
 
-def mock_impl(design, constants: MockCostConstants = MockCostConstants(),
-              flow_name: str = "mock_impl") -> FlowOutcome:
-    """Derive implementation results from the synthesis report."""
+def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str:
+    """Derive implementation results from the synthesis report; returns the log text."""
     root = design_dir(design)
-    start = time.monotonic()
     report_path = root / CSYNTH_REPORT_RELPATH
     try:
         hls = parse_vitis_csynth_report(report_path.read_text())
@@ -471,13 +463,9 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants(),
     out_path = root / IMPL_REPORT_RELPATH
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, asdict(metrics))
-    runtime = time.monotonic() - start
-    log_path = root / f"{flow_name}.log"
-    log_path.write_text(
-        f"mock impl ({constants.version}) on {design_identity(design)}\n"
-        f"clock_target_ns={manifest.clock_target_ns} wns_ns={metrics.wns_ns} "
-        f"lut={metrics.lut} ff={metrics.ff} power_w={metrics.total_power_w}\n")
-    return FlowOutcome(design_identity(design), flow_name, STATUS_OK, runtime, log_path)
+    return (f"mock impl ({constants.version}) on {design_identity(design)}\n"
+            f"clock_target_ns={manifest.clock_target_ns} wns_ns={metrics.wns_ns} "
+            f"lut={metrics.lut} ff={metrics.ff} power_w={metrics.total_power_w}\n")
 
 
 def _expand_argv(spec: ToolFlowSpec, root: Path) -> list[str]:
@@ -491,17 +479,16 @@ def _expand_argv(spec: ToolFlowSpec, root: Path) -> list[str]:
     return argv
 
 
-def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
-    root = design_dir(design)
+def _run_external(spec: ToolFlowSpec, root: Path) -> tuple[str, str]:
+    """Run spec's command in root: its status and its log text."""
     argv = _expand_argv(spec, root)
     env = {**os.environ, **dict(spec.environment)} if spec.environment else None
-    start = time.monotonic()
     try:
         # a session of its own, so a timeout can kill every process the tool spawned;
-        # its group is published for the pool's parent to kill should this worker die
+        # the worker's mark, by which the pool's parent finds it should this worker die
         with subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True, env=env, start_new_session=True) as proc:
-            set_tool_group(proc.pid)
+                              text=True, env=env, start_new_session=True,
+                              pass_fds=tool_fds()) as proc:
             try:
                 stdout, stderr = proc.communicate(timeout=spec.timeout_s)
                 status = STATUS_OK if proc.returncode == 0 else STATUS_FAILED
@@ -518,51 +505,54 @@ def _run_external(spec: ToolFlowSpec, design, log_path: Path) -> FlowOutcome:
     except OSError as exc:
         status = STATUS_FAILED
         stdout, stderr, tail = "", str(exc), "failed to launch"
-    finally:
-        set_tool_group(0)  # the tool is reaped: its number may be given out again
-    runtime = time.monotonic() - start
-    log_path.write_text(
-        f"command: {' '.join(argv)}\n--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}\n{tail}\n")
+    return status, (f"command: {' '.join(argv)}\n--- stdout ---\n{stdout}\n"
+                    f"--- stderr ---\n{stderr}\n{tail}\n")
+
+
+def flow_log(root: Path, flow_name: str) -> Path:
+    """The log a run of the flow named flow_name leaves in the design directory root."""
+    return root / f"{flow_name}.log"
+
+
+def _outcome(spec: ToolFlowSpec, design, status: str, runtime: float, log: str) -> FlowOutcome:
+    """A run of spec on design ended with status: write its log; a mock run that did not
+    end ok leaves no earlier run's report behind."""
+    root = design_dir(design)
+    if status != STATUS_OK and spec.kind in _MOCK_REPORTS:
+        (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
+    log_path = flow_log(root, spec.name)
+    log_path.write_text(log)
     return FlowOutcome(design_identity(design), spec.name, status, runtime, log_path)
 
 
-def _drop_stale_report(spec: ToolFlowSpec, root: Path) -> None:
-    """A mock run that fails or is skipped leaves no earlier run's report behind."""
-    if spec.kind in _MOCK_REPORTS:
-        (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
-
-
 def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
-    """Run one flow on one design; failures become outcomes, never exceptions."""
-    root = design_dir(design)
-    log_path = root / f"{spec.name}.log"
-    missing = validate_design_files(design, spec.required_files)
-    if missing:
-        _drop_stale_report(spec, root)
-        log_path.write_text(f"skipped: required file(s) missing: {', '.join(missing)}\n")
-        return FlowOutcome(design_identity(design), spec.name, STATUS_SKIPPED, 0.0, log_path)
+    """Run one flow on one design; failures become outcomes, never exceptions. The
+    runtime spans the call up to the writing of the log."""
     start = time.monotonic()
     try:
-        if spec.kind == KIND_EXTERNAL:
-            return _run_external(spec, design, log_path)
-        if spec.kind == KIND_MOCK_SYNTH:
-            return mock_hls_synth(design, spec.constants, spec.name)
-        if spec.kind == KIND_MOCK_IMPL:
-            return mock_impl(design, spec.constants, spec.name)
-        raise ValueError(f"unknown flow kind {spec.kind!r}")
+        missing = validate_design_files(design, spec.required_files)
+        if missing:
+            status = STATUS_SKIPPED
+            log = f"skipped: required file(s) missing: {', '.join(missing)}\n"
+        elif spec.kind == KIND_EXTERNAL:
+            status, log = _run_external(spec, design_dir(design))
+        elif spec.kind == KIND_MOCK_SYNTH:
+            status, log = STATUS_OK, mock_hls_synth(design, spec.constants)
+        elif spec.kind == KIND_MOCK_IMPL:
+            status, log = STATUS_OK, mock_impl(design, spec.constants)
+        else:
+            raise ValueError(f"unknown flow kind {spec.kind!r}")
     except Exception as exc:  # one bad design fails its own job, not its worker
         return failed_outcome(spec, design, exc, time.monotonic() - start,
                               f"\n{traceback.format_exc()}")
+    return _outcome(spec, design, status, time.monotonic() - start, log)
 
 
 def failed_outcome(spec: ToolFlowSpec, design, exc: Exception, runtime: float = 0.0,
                    detail: str = "") -> FlowOutcome:
     """spec failed on design with exc: no earlier run's report stays, and the log names exc."""
-    root = design_dir(design)
-    _drop_stale_report(spec, root)
-    log_path = root / f"{spec.name}.log"
-    log_path.write_text(f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}")
-    return FlowOutcome(design_identity(design), spec.name, STATUS_FAILED, runtime, log_path)
+    return _outcome(spec, design, STATUS_FAILED, runtime,
+                    f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}")
 
 
 def _parse_report(path: Path, parse):

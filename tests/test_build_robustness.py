@@ -155,6 +155,31 @@ def test_a_lost_worker_takes_its_tools_process_group_along(tmp_path):
     assert not list(work.rglob("late.txt"))
 
 
+def test_a_tool_that_kills_its_worker_at_once_still_takes_its_group_along(tmp_path, monkeypatch):
+    source = tmp_path / "src_ds"
+    for name in ("fir", "gemm"):
+        shutil.copytree(bundled_designs_dir() / name, source / name)
+    work = tmp_path / "work"
+    execute_frontend({"ds": load_dataset(source, "ds")}, FrontendConfig(n_samples=1),
+                     WorkspaceLayout(work))
+    popen_init = subprocess.Popen.__init__
+
+    def slow_to_return(self, *args, **kwargs):  # the tool runs well before its worker goes on
+        popen_init(self, *args, **kwargs)
+        time.sleep(0.3)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", slow_to_return)
+    spec = custom_flow("die", ("sh", "-c", "case $(pwd) in *fir*) (sleep 1; touch late.txt) & "
+                                           "kill -9 $PPID; sleep 1;; esac; true"))
+    collection = load_post_frontend(work)
+    chains, _ = execute(collection, [spec], 2)
+    designs = [design for dataset in collection.values() for design in dataset.designs]
+    assert {design.base_name: outcome.status for design, (outcome,) in zip(designs, chains)} \
+        == {"fir": STATUS_FAILED, "gemm": STATUS_OK}
+    time.sleep(1.5)
+    assert not list(work.rglob("late.txt"))
+
+
 def live_processes_in_group(pgid: int) -> list[int]:
     """Pids of the processes in a process group that have not exited (Linux /proc)."""
     live = []

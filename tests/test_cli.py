@@ -101,6 +101,24 @@ def test_load_run_config_rejects(tmp_path, overrides):
         load_run_config(write_config(tmp_path, **overrides))
 
 
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"executer": {"n_workers": 3}}, "run.json: unknown key(s) 'executer'"),
+    ({"frontend": {"n_sample": 8, "vendr": "intel"}},
+     "frontend: unknown key(s) 'n_sample', 'vendr'"),
+    ({"frontend": {"seed": 3}}, "frontend: unknown key(s) 'seed'"),
+    ({"executor": {"n_worker": 3}}, "executor: unknown key(s) 'n_worker'"),
+    ({"flows": [{"type": "mock_synth"}, {"type": "mock_impl", "timeout": 5}]},
+     "flows[1]: unknown key(s) 'timeout'"),
+    ({"flows": [{"type": "mock_synth", "constants": {"lut_per_opp": 3}}]},
+     "flows[0].constants: unknown key(s) 'lut_per_opp'"),
+], ids=["top-level", "frontend", "frontend-seed", "executor", "flow", "mock-constant"])
+def test_a_key_nothing_reads_is_refused(tmp_path, capsys, overrides, message):
+    (tmp_path / "work").mkdir()
+    config = write_config(tmp_path, **{"flows": [{"type": "mock_synth"}], **overrides})
+    assert main(["build", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
 def test_load_run_config_rejects_broken_files(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.json")

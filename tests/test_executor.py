@@ -334,3 +334,15 @@ def test_a_lost_chain_reads_failed_with_worker_lost_in_each_log(tmp_path):
             assert outcome.log_path.read_text().startswith(
                 f"flow {flow.name} failed: WorkerLost: ") == lost
     assert sorted({r.worker_index for r in timeline.records if r.status == STATUS_FAILED}) == [-1]
+
+
+def test_a_lost_chains_logs_are_pinned(tmp_path):
+    collection = lowered_collection(tmp_path, names=("b",))
+    flows = [mock_synth_flow(), custom_flow("die", ("sh", "-c", "kill -9 $PPID; sleep 1"))]
+    chains, _ = execute(collection, flows, 2)
+    for chain in chains:
+        for flow, outcome in zip(flows, chain):
+            assert outcome.status == STATUS_FAILED
+            assert outcome.log_path.read_text() == (
+                f"flow {flow.name} failed: WorkerLost: the pool worker running this chain "
+                f"exited before it finished\n")

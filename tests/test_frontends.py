@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -515,6 +516,25 @@ def test_a_point_whose_id_names_a_design_copied_through_is_refused(tmp_path):
     assert (copy.source_dir / "marker.txt").read_text() == "copied through\n"
     assert sorted(tree_bytes(copy.source_dir)) == sorted(tree_bytes(root / taken))
 
+
+
+def test_a_collection_of_lowered_designs_is_copied_through_under_their_ids(tmp_path):
+    source = tmp_path / "src_ds"
+    shutil.copytree(bundled_designs_dir() / "fir", source / "fir")
+    first = tmp_path / "first"
+    execute_frontend({"ds": load_dataset(source, "ds")}, FrontendConfig(n_samples=1),
+                     WorkspaceLayout(first))
+    lowered = load_post_frontend(first)
+    [held] = lowered["ds__post_frontend"].designs
+    assert isinstance(held, ConcreteDesign)
+    second = tmp_path / "second"
+    result = execute_frontend(lowered, FrontendConfig(n_samples=1), WorkspaceLayout(second))
+    assert result.failures == []
+    assert result.sizes == {("ds__post_frontend", held.id): (1, 1)}
+    [copy] = result.collection["ds__post_frontend"].designs
+    assert copy == ConcreteDesign(held.id, "fir", second / "ds__post_frontend" / held.id,
+                                  held.vendor)
+    assert tree_bytes(copy.dir) == tree_bytes(held.dir)
 
 def test_ids_and_seeds_are_the_sha256_digests_of_hashlib():
     designs = [d for d in load_dataset(bundled_designs_dir()).designs if d.frontend_ready]

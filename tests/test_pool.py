@@ -74,6 +74,21 @@ def test_an_exception_propagates_and_every_worker_is_reaped():
     assert_reaped(pids)
 
 
+
+def slow_at_0_raise_at_7(x: int) -> int:
+    if x == 0:
+        time.sleep(0.5)
+    return raise_at_7(x)
+
+
+def test_an_exception_arrives_after_the_results_of_every_earlier_item():
+    results = []
+    with pytest.raises(ValueError, match="item 7"):
+        for pid in fork_imap(slow_at_0_raise_at_7, list(range(40)), 2, chunksize=1):
+            results.append(pid)
+    assert len(results) == 7
+    assert_reaped(set(results))
+
 def worker_of(x: int) -> int:
     time.sleep(0.5 if x == 0 else 0.01)
     return current_worker()[0]

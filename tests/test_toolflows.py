@@ -374,3 +374,60 @@ def test_perturbed_constants_shift_area_knobs():
 def test_simulated_runtime_is_deterministic():
     assert simulated_runtime_s(2320, 1440) == 0.0752
     assert simulated_runtime_s(0, 0) == 0.0
+
+
+# Each flow log's text, byte for byte: run_flow is the one place that writes it.
+
+def test_mock_flow_logs_are_pinned(tmp_path):
+    design = lowered_design(tmp_path)[-1]  # lp1 unroll 4, lp2 unroll 2
+    synth = run_flow(mock_synth_flow(), design)
+    impl = run_flow(mock_impl_flow(), design)
+    assert (synth.status, impl.status) == (STATUS_OK, STATUS_OK)
+    assert synth.log_path == design.dir / "mock_hls_synth.log"
+    assert synth.log_path.read_text() == (
+        "mock hls synth (mock-2023.1) on d__8b5307e7\n"
+        "directive source: tcl\n"
+        "unroll={'lp1': 4, 'lp2': 2} pipelined=['lp1'] banks={}\n"
+        "latency_avg=23 lut=600 ff=380 dsp=4 bram=1 clock_estimate_ns=3.4\n")
+    assert impl.log_path == design.dir / "mock_impl.log"
+    assert impl.log_path.read_text() == (
+        "mock impl (mock-2023.1) on d__8b5307e7\n"
+        "clock_target_ns=10.0 wns_ns=6.532192809488736 lut=540 ff=342 power_w=0.51\n")
+
+
+def test_skipped_and_failed_mock_logs_are_pinned(tmp_path):
+    design = lowered_design(tmp_path)[0]
+    impl = run_flow(mock_impl_flow(), design)
+    assert impl.status == STATUS_SKIPPED
+    assert impl.log_path.read_text() == \
+        f"skipped: required file(s) missing: {CSYNTH_REPORT_RELPATH}\n"
+    (design.dir / "mock_manifest.json").unlink()
+    skipped = run_flow(mock_synth_flow(), design)
+    assert skipped.log_path.read_text() == \
+        "skipped: required file(s) missing: mock_manifest.json\n"
+    manifest = design.dir / "mock_manifest.json"
+    manifest.write_text("{broken")
+    failed = run_flow(mock_synth_flow(), design)
+    assert failed.status == STATUS_FAILED
+    reason = (f"ManifestMissing: {manifest}: Expecting property name enclosed in double "
+              f"quotes: line 1 column 2 (char 1)")
+    lines = failed.log_path.read_text().split("\n")
+    assert lines[:3] == [f"flow mock_hls_synth failed: {reason}", "",
+                         "Traceback (most recent call last):"]
+    assert lines[-2:] == [f"hlsforge.errors.{reason}", ""]
+
+
+def test_external_flow_logs_are_pinned(tmp_path):
+    design = lowered_design(tmp_path)[0]
+    ok = run_flow(custom_flow("talk", ("sh", "-c", "echo out; echo err >&2")), design)
+    assert ok.status == STATUS_OK
+    assert ok.log_path == design.dir / "talk.log"
+    assert ok.log_path.read_text() == ("command: sh -c echo out; echo err >&2\n"
+                                       "--- stdout ---\nout\n\n--- stderr ---\nerr\n\n"
+                                       "exit code 0\n")
+    slow = run_flow(custom_flow("slow", ("sh", "-c", "echo begun; sleep 5"), timeout_s=0.3),
+                    design)
+    assert slow.status == STATUS_TIMEOUT
+    assert slow.log_path.read_text() == ("command: sh -c echo begun; sleep 5\n"
+                                         "--- stdout ---\nbegun\n\n--- stderr ---\n\n"
+                                         "timed out after 0.3s (process group killed)\n")
