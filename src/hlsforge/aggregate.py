@@ -24,8 +24,10 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
 
-from .core import (
+from .core import (  # the report paths live in core, which the set-up path loads
+    CSYNTH_REPORT_RELPATH,
     DESIGN_DATA_FILENAME,
+    IMPL_REPORT_RELPATH,
     SOURCE_SUFFIXES,
     json_fits,
     list_post_frontend,
@@ -42,8 +44,6 @@ from .errors import (
     SourceUnreadable,
 )
 
-CSYNTH_REPORT_RELPATH = "hls_prj/solution1/syn/report/csynth.xml"
-IMPL_REPORT_RELPATH = "hls_prj/impl_report.json"
 HLS_DATA_FILENAME = "data_hls.json"
 IMPL_DATA_FILENAME = "data_impl.json"
 EXECUTION_DATA_FILENAME = "data_execution.json"

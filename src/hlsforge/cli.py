@@ -7,6 +7,10 @@ run on the bundled designs).
 
 Exit codes: 0 success, 1 partial failure (e.g. designs that failed to lower),
 2 configuration error, 3 environment error (missing tool), 4 no data.
+
+A command imports the modules it runs when it runs: analysis, executor,
+frontends, aggregate and pool are imported inside the functions that use them,
+so building flow specs loads none of them.
 """
 
 from __future__ import annotations
@@ -14,30 +18,22 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-from . import aggregate as agg
-from .analysis import (
-    DEFAULT_COVERAGE_METRICS,
-    DEFAULT_REGRESSION_METRICS,
-    compare_tool_versions,
-    coverage_summary,
-    format_coverage_table,
-    format_regression_table,
-    histogram,
-)
 from .core import (
+    STRATEGIES,
     DatasetCollection,
     WorkspaceLayout,
     design_identity,
     json_fits,
     load_dataset,
     load_post_frontend,
+    local_workers,
     read_json,
     write_json,
 )
@@ -50,9 +46,6 @@ from .errors import (
     MissingDirectory,
     NoPairs,
 )
-from .executor import STRATEGIES, Timeline, execute, utilization_rows, write_timeline
-from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
-from .pool import fork_imap, local_workers
 from .toolflows import (
     EXTERNAL_FLOWS,
     MockCostConstants,
@@ -101,6 +94,7 @@ def _expect_known(where: str, raw: dict, known) -> None:
 
 def load_run_config(path: Path) -> RunConfig:
     """Parse and validate the single-JSON run configuration."""
+    from .frontends import FrontendConfig
     try:
         payload = read_json(path)
     except MalformedReport as exc:
@@ -153,11 +147,23 @@ def load_run_config(path: Path) -> RunConfig:
                      flows=flows, strategy=strategy, n_workers=n_workers, pin_cores=pin_cores)
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is one a float holds: json.load also returns NaN,
+    Infinity, -Infinity and integers past 1.8e308."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _mock_constants(i: int, raw: dict) -> MockCostConstants:
     overrides = raw.get("constants", {})
     _expect_known(f"flows[{i}].constants", overrides,
                   [f.name for f in dataclasses.fields(MockCostConstants)])
     _expect_field_types(f"flows[{i}].constants", overrides, MockCostConstants)
+    for key, value in overrides.items():
+        _expect(isinstance(value, str) or _finite(value),
+                f"flows[{i}].constants.{key} must be finite, got {value!r}")
     return dataclasses.replace(MockCostConstants(), **overrides)
 
 
@@ -171,10 +177,22 @@ _FLOW_KEYS = {"type": (str, "a string"), "timeout_s": ((int, float), "a number")
               "name": (str, "a string"), "command": (list, "a list of strings"),
               "required_files": (list, "a list of strings")}
 
+# the longest wait poll() takes, in whole milliseconds in a C int; Popen.communicate
+# waits on it, so a longer timeout fails every external job with OverflowError
+_MAX_TIMEOUT_S = (2 ** 31 - 1) / 1000
+
+# the keys each flow type reads
+_TYPE_KEYS = {
+    **{kind: ("type", "timeout_s", "constants") for kind in _MOCK_FLOWS},
+    **{kind: ("type", "timeout_s", "environment", "executable", "command")
+       for kind in EXTERNAL_FLOWS},
+    "custom": ("type", "name", "command", "required_files", "timeout_s", "environment"),
+}
+
 
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
     """Instantiate every configured flow up front (missing tools fail fast); no two
-    may share a name."""
+    may share a name, and no entry holds a key its type does not read."""
     specs = []
     for i, raw in enumerate(raw_flows):
         for key, (kind, what) in _FLOW_KEYS.items():
@@ -184,7 +202,15 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
                         and (kind is not list or all(isinstance(item, str) for item in value)),
                         f"flows[{i}].{key} must be {what}")
         kind = raw["type"]
-        timeout_s = float(raw.get("timeout_s", 3600.0))
+        _expect(kind in _TYPE_KEYS, f"flows[{i}]: unknown flow type {kind!r}")
+        unread = sorted(set(raw) - set(_TYPE_KEYS[kind]))
+        _expect(not unread, f"flows[{i}]: a {kind} flow reads no key(s) "
+                            f"{', '.join(map(repr, unread))}")
+        timeout_s = raw.get("timeout_s", 3600.0)
+        _expect(_finite(timeout_s) and 0 < timeout_s <= _MAX_TIMEOUT_S,
+                f"flows[{i}].timeout_s must be positive and at most {_MAX_TIMEOUT_S}, "
+                f"got {timeout_s!r}")
+        timeout_s = float(timeout_s)
         environment = tuple(sorted((k, str(v)) for k, v in raw.get("environment", {}).items()))
         command = tuple(raw.get("command", ()))
         if kind in _MOCK_FLOWS:
@@ -193,14 +219,12 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
             flow = EXTERNAL_FLOWS[kind]
             specs.append(flow.spec(raw.get("executable", flow.executable), command, timeout_s,
                                    environment))
-        elif kind == "custom":
+        else:
             if not command:
                 raise ConfigError(f"flows[{i}]: custom flow needs a command list")
             specs.append(custom_flow(name=raw.get("name", f"custom_{i}"), command=command,
                                      required_files=tuple(raw.get("required_files", ())),
                                      timeout_s=timeout_s, environment=environment))
-        else:
-            raise ConfigError(f"flows[{i}]: unknown flow type {kind!r}")
         first = next(j for j, spec in enumerate(specs) if spec.name == specs[-1].name)
         _expect(first == i, f"flows[{first}] and flows[{i}] are both named {specs[-1].name!r}; "
                             f"a flow's name keys its log and its outcomes")
@@ -215,6 +239,7 @@ def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy
     Returns ({flow_name: {(dataset, design_id): outcome}}, timeline); two
     datasets may hold designs of the same id.
     """
+    from .executor import execute
     chains, timeline = execute(collection, specs, n_workers, strategy, pin_cores)
     keys = [(name, design_identity(design))
             for name, dataset in collection.items() for design in dataset.designs]
@@ -227,6 +252,7 @@ def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
     """Write the data_*.json, without execution section, of each design results holds no
     first-flow outcome for; returns how many. Each chain writes its own (executor.execute),
     so this serves a tree built elsewhere, passed with results={}."""
+    from .pool import fork_imap
     outcomes = results.get(specs[0].name, {}) if specs else {}
     pending = [design for name, dataset in collection.items() for design in dataset.designs
                if (name, design_identity(design)) not in outcomes]
@@ -245,6 +271,7 @@ def _report_expansion(result) -> bool:
 def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
            n_workers: int, pin_cores: bool, work_dir: Path) -> Timeline:
     """Run the flows, write timeline.json and print a summary."""
+    from .executor import write_timeline
     results, timeline = run_flows(collection, specs, strategy, n_workers, pin_cores)
     write_timeline(work_dir / "timeline.json", timeline)
     for flow_name, by_design in results.items():
@@ -255,6 +282,7 @@ def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: s
 
 
 def cmd_expand(args) -> int:
+    from .frontends import execute_frontend
     config = load_run_config(args.config)
     _expect(bool(config.datasets), "expand needs a non-empty datasets map")
     layout = WorkspaceLayout(config.work_dir).ensure()
@@ -265,6 +293,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .executor import utilization_rows
     config = load_run_config(args.config)
     _expect(bool(config.flows), "build needs a non-empty flows list")
     specs = build_flow_specs(config.flows)
@@ -287,6 +316,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    from . import aggregate as agg
     config = load_run_config(args.config)
     table = agg.aggregate_collection(config.work_dir)
     out = Path(args.out) if args.out else config.work_dir / f"aggregated.{args.format}"
@@ -301,6 +331,7 @@ def cmd_aggregate(args) -> int:
 
 def _column(option: str, name: str, numeric: bool = True) -> str:
     """name, when the table schema has such a column, holding numbers if numeric."""
+    from . import aggregate as agg
     kind = agg.COLUMN_TYPES.get(name)
     _expect(kind is not None, f"{option}: unknown column {name!r}")
     _expect(not numeric or kind is not str, f"{option}: column {name!r} is not numeric")
@@ -315,6 +346,8 @@ def _metrics(args, default: tuple) -> tuple:
 
 
 def cmd_regress(args) -> int:
+    from . import aggregate as agg
+    from .analysis import DEFAULT_REGRESSION_METRICS, compare_tool_versions, format_regression_table
     metrics = _metrics(args, DEFAULT_REGRESSION_METRICS)
     table_a = agg.load_table(Path(args.table_a))
     table_b = agg.load_table(Path(args.table_b))
@@ -327,6 +360,9 @@ def cmd_regress(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import aggregate as agg
+    from .analysis import (DEFAULT_COVERAGE_METRICS, coverage_summary, format_coverage_table,
+                           histogram)
     metrics = _metrics(args, DEFAULT_COVERAGE_METRICS)
     _column("--group-by", args.group_by, numeric=False)
     if args.hist:
@@ -354,10 +390,14 @@ def cmd_stats(args) -> int:
 
 def bundled_designs_dir() -> Path:
     """Directory of the designs shipped inside the package."""
+    from importlib import resources
     return Path(str(resources.files("hlsforge") / "fixtures" / "designs"))
 
 
 def cmd_demo(args) -> int:
+    from . import aggregate as agg
+    from .analysis import coverage_summary, format_coverage_table
+    from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
     out_dir = Path(args.out)
     layout = WorkspaceLayout(out_dir).ensure()
     fixtures = bundled_designs_dir()

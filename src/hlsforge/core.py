@@ -8,6 +8,7 @@ aggregation operate on that tree.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import os
@@ -21,19 +22,27 @@ from typing import get_args
 from .errors import EmptyDataset, MalformedReport, ManifestMissing, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
 
-# The SHA-256 module itself: hashlib would load OpenSSL's _hashlib, some 3.5 MB
-# resident, for the same digests. (CPython 3.12 renamed it _sha2.)
-try:
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
+# CPython's own SHA-256 module, _sha2 from 3.12 on and _sha256 before: hashlib would
+# load OpenSSL's _hashlib, some 3.5 MB resident, for the same digests. Each name is in
+# sys.stdlib_module_names only on its own versions, so it is imported by name.
+for _module in ("_sha2", "_sha256", "hashlib"):
+    try:
+        sha256 = importlib.import_module(_module).sha256
+        break
+    except ImportError:
+        pass
 
 OPT_TEMPLATE_FILENAME = "opt_template.tcl"
 OPT_RENDERED_FILENAME = "opt.tcl"
 DESIGN_DATA_FILENAME = "data_design.json"
 MANIFEST_FILENAME = "mock_manifest.json"
+# where the synthesis and implementation reports sit in a design directory
+CSYNTH_REPORT_RELPATH = "hls_prj/solution1/syn/report/csynth.xml"
+IMPL_REPORT_RELPATH = "hls_prj/impl_report.json"
 POST_FRONTEND_SUFFIX = "__post_frontend"
 VENDORS = ("xilinx", "intel")
+# the executor's scheduling policies (executor.execute)
+STRATEGIES = ("fine_grained", "naive")
 # file suffixes of compilation units, and of every source a lowering may annotate
 COMPILED_SUFFIXES = (".c", ".cc", ".cpp", ".cxx")
 SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
@@ -106,6 +115,11 @@ class WorkspaceLayout:
     def ensure(self) -> "WorkspaceLayout":
         self.work_dir.mkdir(parents=True, exist_ok=True)
         return self
+
+
+def local_workers() -> int:
+    """Cores this process may run on: the worker count for lowering and extraction."""
+    return len(os.sched_getaffinity(0))
 
 
 def design_identity(design) -> str:

@@ -19,6 +19,7 @@ anything, for planning and for quantifying the gap.
 from __future__ import annotations
 
 import heapq
+import subprocess  # noqa: F401
 import sys
 import time
 from contextlib import closing
@@ -26,7 +27,12 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .core import DatasetCollection, design_dir, design_identity, replace_on_success, write_json
+# A chain runs toolflows code that imports aggregate (and with it ElementTree) and
+# subprocess only where it is used; both are loaded here, before the pool forks, so
+# no worker loads a module. pool brings signal and traceback.
+from . import aggregate  # noqa: F401
+from .core import (STRATEGIES, DatasetCollection, design_dir, design_identity,
+                   replace_on_success, write_json)
 from .errors import WorkerLost
 from .pool import current_worker, fork_imap
 from .toolflows import (
@@ -40,8 +46,6 @@ from .toolflows import (
     run_flow,
     tool_version,
 )
-
-STRATEGIES = ("fine_grained", "naive")
 
 
 @dataclass(frozen=True, slots=True)

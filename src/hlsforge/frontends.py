@@ -40,6 +40,7 @@ from .core import (
     design_dir,
     design_identity,
     list_design_files,
+    local_workers,
     read_json,
     sha256,
     write_json,
@@ -65,7 +66,7 @@ from .optdsl import (
     iter_assignments,
     parse_opt_template,
 )
-from .pool import fork_imap, local_workers
+from .pool import fork_imap
 from .rng import Xoshiro256StarStar
 from .toolflows import MockManifest
 

@@ -56,11 +56,6 @@ _worker: tuple[int, int | None] = (0, None)
 _mark: int | None = None
 
 
-def local_workers() -> int:
-    """Cores this process may run on: the worker count for lowering and extraction."""
-    return len(os.sched_getaffinity(0))
-
-
 def pin_to_core(worker_index: int) -> int | None:
     """Best-effort affinity of the calling process to one of the cores it may run
     on: the (worker_index mod their number)-th, counting in core order."""

@@ -18,6 +18,11 @@ T, body_ops B, mult_ops M and unroll factor U:
 Implementation mock: each resource is round(impl_scale * hls value), wns_ns is
 clock_target - clock_est - wns_lut_coeff * log2(1 + lut/1000), and power is
 power_base_w + lut * power_lut_w + dsp * power_dsp_w.
+
+Building specs loads none of what only a run needs: aggregate's report schema
+and parsers, and ElementTree, are imported where a mock flow or extract_design
+runs; subprocess, signal and pool where a tool runs; traceback where a flow
+fails. The executor loads them all before its pool forks.
 """
 
 from __future__ import annotations
@@ -28,29 +33,16 @@ import math
 import os
 import re
 import shutil
-import signal
-import subprocess
 import time
-import traceback
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
-from xml.etree import ElementTree
 
-from .aggregate import (
-    CSYNTH_REPORT_RELPATH,
-    IMPL_REPORT_RELPATH,
-    ExecutionMeta,
-    HlsSynthMetrics,
-    ImplMetrics,
-    MetricsBundle,
-    parse_impl_report,
-    parse_vitis_csynth_report,
-    write_standard_json,
-)
 from .core import (
     ANCHOR_RE,
     COMPILED_SUFFIXES,
+    CSYNTH_REPORT_RELPATH,
+    IMPL_REPORT_RELPATH,
     MANIFEST_FILENAME,
     SOURCE_SUFFIXES,
     design_dir,
@@ -69,7 +61,6 @@ from .errors import (
     ManifestMissing,
     SynthReportMissing,
 )
-from .pool import tool_fds
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -273,6 +264,7 @@ def tool_version(spec: ToolFlowSpec) -> str:
 @functools.cache
 def _ask_version(argv: tuple[str, ...]) -> str:
     """First non-blank line the tool prints for its version argv."""
+    import subprocess
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=30.0)
     except (OSError, subprocess.SubprocessError):
@@ -355,6 +347,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 def compute_mock_synth_metrics(manifest: MockManifest, profile: DirectiveProfile,
                                constants: MockCostConstants) -> HlsSynthMetrics:
+    from .aggregate import HlsSynthMetrics
     loop_labels = {loop.label for loop in manifest.loops}
     array_labels = {array.label for array in manifest.arrays}
     for label in sorted(set(profile.unroll) | set(profile.pipelined)):
@@ -397,6 +390,7 @@ def compute_mock_synth_metrics(manifest: MockManifest, profile: DirectiveProfile
 
 def compute_mock_impl_metrics(hls: HlsSynthMetrics, clock_target_ns: float,
                               constants: MockCostConstants) -> ImplMetrics:
+    from .aggregate import ImplMetrics
     wns = clock_target_ns - hls.clock_estimate_ns \
         - constants.wns_lut_coeff * math.log2(1 + hls.lut / 1000)
     power = constants.power_base_w + hls.lut * constants.power_lut_w \
@@ -409,6 +403,8 @@ def compute_mock_impl_metrics(hls: HlsSynthMetrics, clock_target_ns: float,
 
 
 def _write_csynth_xml(path: Path, metrics: HlsSynthMetrics) -> None:
+    from xml.etree import ElementTree
+
     def latency_text(value: int | None) -> str:
         return "undef" if value is None else str(value)
 
@@ -452,6 +448,7 @@ def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants()) -
 
 def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str:
     """Derive implementation results from the synthesis report; returns the log text."""
+    from .aggregate import parse_vitis_csynth_report
     root = design_dir(design)
     report_path = root / CSYNTH_REPORT_RELPATH
     try:
@@ -481,6 +478,10 @@ def _expand_argv(spec: ToolFlowSpec, root: Path) -> list[str]:
 
 def _run_external(spec: ToolFlowSpec, root: Path) -> tuple[str, str]:
     """Run spec's command in root: its status and its log text."""
+    import signal
+    import subprocess
+
+    from .pool import tool_fds
     argv = _expand_argv(spec, root)
     env = {**os.environ, **dict(spec.environment)} if spec.environment else None
     try:
@@ -543,6 +544,7 @@ def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
         else:
             raise ValueError(f"unknown flow kind {spec.kind!r}")
     except Exception as exc:  # one bad design fails its own job, not its worker
+        import traceback
         return failed_outcome(spec, design, exc, time.monotonic() - start,
                               f"\n{traceback.format_exc()}")
     return _outcome(spec, design, status, time.monotonic() - start, log)
@@ -569,6 +571,8 @@ def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "
     absent or unreadable report leaves its section null. The execution section,
     left out without an outcome, records the primary (first) flow's outcome:
     an external flow's runtime as measured, a mock flow's simulated one."""
+    from .aggregate import (ExecutionMeta, MetricsBundle, parse_impl_report,
+                            parse_vitis_csynth_report, write_standard_json)
     root = design_dir(design)
     hls = _parse_report(root / CSYNTH_REPORT_RELPATH, parse_vitis_csynth_report)
     bundle = MetricsBundle(hls, _parse_report(root / IMPL_REPORT_RELPATH, parse_impl_report))

@@ -11,8 +11,9 @@ import hlsforge.cli as cli
 from conftest import make_design, tree_bytes
 from hlsforge.aggregate import AggregatedRow, AggregatedTable, export_tabular
 from hlsforge.cli import WORK_DIR_ENV, build_flow_specs, load_run_config, main
+from hlsforge.core import load_dataset
 from hlsforge.errors import ConfigError, ExecutableNotFound
-from hlsforge.toolflows import KIND_MOCK_IMPL, KIND_MOCK_SYNTH
+from hlsforge.toolflows import KIND_MOCK_IMPL, KIND_MOCK_SYNTH, run_flow
 
 
 @pytest.fixture(autouse=True)
@@ -410,3 +411,68 @@ def test_column_options_take_any_schema_column_of_the_right_type(tmp_path, capsy
                  "--hist", "hls_lut"]) == 0
     assert "histogram of hls_lut (1 values)" in capsys.readouterr().out
     assert main(["regress", str(table), str(table), "--metrics", "hls_lut,exec_runtime_s"]) == 0
+
+
+@pytest.mark.parametrize("flow, message", [
+    ({"type": "custom", "command": ["sh", "-c", "true"], "constants": {"lut_per_op": 3},
+      "executable": "nope"},
+     "flows[0]: a custom flow reads no key(s) 'constants', 'executable'"),
+    ({"type": "mock_synth", "command": ["x"], "environment": {"A": "1"},
+      "required_files": ["zzz"]},
+     "flows[0]: a mock_synth flow reads no key(s) 'command', 'environment', 'required_files'"),
+    ({"type": "vitis_hls_synth", "executable": "sh", "name": "synth"},
+     "flows[0]: a vitis_hls_synth flow reads no key(s) 'name'"),
+], ids=["custom", "mock", "external"])
+def test_a_flow_key_its_type_does_not_read_is_refused(tmp_path, capsys, flow, message):
+    (tmp_path / "work").mkdir()
+    assert main(["build", "--config", str(write_config(tmp_path, flows=[flow]))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("raw", [
+    {"type": "mock_synth", "timeout_s": 5, "constants": {"lut_per_op": 3}},
+    {"type": "mock_impl", "timeout_s": 5.5, "constants": {"impl_scale": 1}},
+    {"type": "vitis_hls_impl", "timeout_s": 5, "environment": {"A": "1"}, "executable": "sh",
+     "command": ["sh", "-c", "true"]},
+    {"type": "intel_hls", "timeout_s": 5, "environment": {}, "executable": "sh",
+     "command": []},
+    {"type": "custom", "name": "c", "command": ["sh", "-c", "true"], "required_files": ["a"],
+     "timeout_s": 5, "environment": {"A": "1"}},
+], ids=["mock_synth", "mock_impl", "vitis_hls_impl", "intel_hls", "custom"])
+def test_each_flow_type_takes_every_key_it_reads(raw):
+    [spec] = build_flow_specs([raw])
+    assert spec.timeout_s == raw["timeout_s"]
+
+
+# json.dumps writes these floats as NaN, Infinity and -Infinity, which json.load reads back
+@pytest.mark.parametrize("timeout_s", [-1, 0, -0.5, float("nan"), float("inf"), float("-inf"),
+                                       10 ** 400, 2147484],
+                         ids=["-1", "0", "-0.5", "NaN", "Infinity", "-Infinity", "10**400",
+                              "past-poll"])
+def test_a_timeout_no_run_can_use_is_refused(tmp_path, capsys, timeout_s):
+    (tmp_path / "work").mkdir()
+    config = write_config(tmp_path, flows=[{"type": "mock_synth", "timeout_s": timeout_s}])
+    assert main(["build", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: flows[0].timeout_s must be positive and at most 2147483.647, got ")
+
+
+def test_the_longest_timeout_a_tool_run_takes_is_accepted(tmp_path):
+    make_design(tmp_path, "alpha")
+    [spec] = build_flow_specs([{"type": "custom", "command": ["sh", "-c", "echo hi"],
+                                "timeout_s": 2147483.647}])
+    outcome = run_flow(spec, load_dataset(tmp_path).designs[0])
+    assert (outcome.status, outcome.log_path.read_text().splitlines()[2]) == ("ok", "hi")
+
+
+@pytest.mark.parametrize("name, value", [("clock_base_ns", float("nan")),
+                                         ("power_lut_w", float("inf")),
+                                         ("impl_scale", float("-inf")),
+                                         ("lut_per_op", 10 ** 400)],
+                         ids=["NaN", "Infinity", "-Infinity", "10**400"])
+def test_a_mock_constant_that_is_not_finite_is_refused(tmp_path, capsys, name, value):
+    (tmp_path / "work").mkdir()
+    config = write_config(tmp_path, flows=[{"type": "mock_impl", "constants": {name: value}}])
+    assert main(["build", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: flows[0].constants.{name} must be finite, got ")

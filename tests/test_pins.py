@@ -122,8 +122,7 @@ PINNED_ENV = (("A", "1"), ("B", "2"))
      ToolFlowSpec(name="intel_hls", kind=KIND_EXTERNAL, required_files=(), timeout_s=9.0,
                   environment=PINNED_ENV, command_template=("sh", "-c", "true"),
                   version_command=("sh", "--version"))),
-    ({"type": "custom", "executable": "sh", "command": ["sh", "-c", "true"],
-      "required_files": ["in.txt"], **ENV},
+    ({"type": "custom", "command": ["sh", "-c", "true"], "required_files": ["in.txt"], **ENV},
      ToolFlowSpec(name="custom_0", kind=KIND_EXTERNAL, required_files=("in.txt",),
                   timeout_s=3600.0, environment=PINNED_ENV,
                   command_template=("sh", "-c", "true"))),
