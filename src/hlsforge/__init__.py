@@ -17,12 +17,13 @@ _EXPORTS = {name: module for module, names in (
                   "parse_vitis_csynth_report write_standard_json"),
     ("analysis", "CoverageSummary RegressionReport WilcoxonResult compare_tool_versions "
                  "compute_r2 compute_rae coverage_summary histogram wilcoxon_signed_rank"),
-    ("core", "AbstractDesign ConcreteDesign DatasetCollection DesignDataset WorkspaceLayout "
-             "concrete_design_id load_dataset load_post_frontend validate_design_files"),
+    ("core", "AbstractDesign ConcreteDesign DatasetCollection DesignDataset FrontendConfig "
+             "WorkspaceLayout concrete_design_id load_dataset load_post_frontend "
+             "validate_design_files"),
     ("errors", "HlsForgeError"),
     ("executor", "ExecutionRecord Job Timeline execute execute_parallel_fine_grained "
                  "execute_parallel_naive simulate_schedule"),
-    ("frontends", "FrontendConfig IntelAnnotation execute_frontend lower_intel lower_xilinx "
+    ("frontends", "IntelAnnotation execute_frontend lower_intel lower_xilinx "
                   "map_directive_to_intel sample_assignments"),
     ("optdsl", "DesignSpace DirectiveAssignment OptTemplate design_space_size "
                "enumerate_design_space iter_assignments parse_opt_template render_assignment"),

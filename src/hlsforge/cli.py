@@ -18,22 +18,24 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
+import functools
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 from .core import (
     STRATEGIES,
     DatasetCollection,
+    FrontendConfig,
     WorkspaceLayout,
     design_identity,
     json_fits,
     load_dataset,
     load_post_frontend,
     local_workers,
+    plain_name,
     read_json,
     write_json,
 )
@@ -47,10 +49,9 @@ from .errors import (
     NoPairs,
 )
 from .toolflows import (
-    EXTERNAL_FLOWS,
-    MockCostConstants,
+    FLOW_ENTRIES,
+    FlowEntry,
     ToolFlowSpec,
-    custom_flow,
     extract_design,
     mock_impl_flow,
     mock_synth_flow,
@@ -71,160 +72,107 @@ class RunConfig:
     pin_cores: bool
 
 
+@dataclasses.dataclass
+class _RunFile:
+    work_dir: str = ""
+    seed: int = 0
+    datasets: dict[str, str] = dataclasses.field(default_factory=dict)
+    frontend: dict = dataclasses.field(default_factory=dict)
+    flows: list = dataclasses.field(default_factory=list)
+    executor: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in self.datasets:  # each names a directory of the work tree
+            plain_name("datasets name", name)
+
+
+@dataclasses.dataclass
+class _Executor:
+    strategy: str = "fine_grained"
+    # this module's local_workers, looked up each time a config is read
+    n_workers: int = dataclasses.field(default_factory=lambda: local_workers())
+    pin_cores: bool = False
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be {' or '.join(STRATEGIES)}")
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be a positive integer")
+
+
+_hints = functools.cache(get_type_hints)
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
 
 
-def _expect_field_types(where: str, raw: dict, cls) -> None:
-    """Each key of raw that names a field of the dataclass cls holds a JSON value
-    of that field's type (see core.json_fits); nothing is coerced."""
-    hints = get_type_hints(cls)
+def _read(where, raw, cls, **given):
+    """raw, a JSON object, read as the dataclass cls, whose fields declare its keys:
+    a key that is no field is refused, each value must have its field's JSON type
+    (core.json_fits), a value whose field is a dataclass is read the same way, and a
+    ValueError cls raises names the key. Fields in given take given's values and are
+    no keys of raw. where is raw's key path, or the config file's Path at the top."""
+    subject, at = (f"config file {where}", "") if isinstance(where, Path) else (where, f"{where}.")
+    _expect(isinstance(raw, dict), f"{subject} must be an object, got {raw!r}")
+    hints = _hints(cls)
+    unknown = set(raw) - (hints.keys() - given.keys())
+    _expect(not unknown, f"{subject}: unknown key(s) {', '.join(map(repr, sorted(unknown)))}")
     for key, value in raw.items():
-        if key in hints:
-            _expect(json_fits(value, hints[key]),
-                    f"{where}.{key} must have type {hints[key].__name__}, got {value!r}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _read(at + key, value, hint)
+        _expect(json_fits(value, hint), f"{at}{key} must have type "
+                f"{hint if get_args(hint) else hint.__name__}, got {value!r}")
+        given[key] = value
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{at}{exc}") from exc
 
 
-def _expect_known(where: str, raw: dict, known) -> None:
-    """raw holds only keys in known: a key nothing reads is refused, not ignored."""
-    unknown = sorted(set(raw) - set(known))
-    _expect(not unknown, f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+def _flow_entry(index: int, raw) -> FlowEntry:
+    """flows[index], read as its type declares (toolflows.FLOW_ENTRIES): a key only
+    other types read is refused naming the type, one no type reads as unknown."""
+    where = f"flows[{index}]"
+    _expect(isinstance(raw, dict) and "type" in raw, f"{where} must be an object with a type")
+    kind = raw["type"]
+    _expect(isinstance(kind, str) and kind in FLOW_ENTRIES, f"{where}: unknown flow type {kind!r}")
+    unread = {field.name for entry in FLOW_ENTRIES.values() for field in dataclasses.fields(entry)
+              if field.name in raw} - _hints(FLOW_ENTRIES[kind]).keys()
+    _expect(not unread, f"{where}: a {kind} flow reads no key(s) "
+                        f"{', '.join(map(repr, sorted(unread)))}")
+    return _read(where, raw, FLOW_ENTRIES[kind])
 
 
 def load_run_config(path: Path) -> RunConfig:
-    """Parse and validate the single-JSON run configuration."""
-    from .frontends import FrontendConfig
+    """Parse and validate the single-JSON run configuration: each section, and each
+    flow entry, is read as its dataclass declares (_read)."""
     try:
         payload = read_json(path)
     except MalformedReport as exc:
         raise ConfigError(f"config file {exc}") from exc
     _expect(payload is not None, f"config file {path} does not exist")
-    _expect_known(f"config file {path}", payload,
-                  ("work_dir", "seed", "datasets", "frontend", "flows", "executor"))
-
-    work_dir = os.environ.get(WORK_DIR_ENV) or payload.get("work_dir")
-    _expect(bool(work_dir) and isinstance(work_dir, str),
-            f"work_dir must be a directory path string (or set {WORK_DIR_ENV})")
-
-    seed = payload.get("seed", 0)
-    _expect(json_fits(seed, int), "seed must be an integer")
-
-    datasets = payload.get("datasets", {})
-    _expect(isinstance(datasets, dict), "datasets must map names to directories")
-    for name, value in datasets.items():
-        _expect(isinstance(value, str), f"datasets.{name} must be a directory path string")
-
-    raw_frontend = payload.get("frontend", {})
-    _expect(isinstance(raw_frontend, dict), "frontend must be an object")
+    run = _read(Path(path), payload, _RunFile)
+    work_dir = os.environ.get(WORK_DIR_ENV) or run.work_dir
+    _expect(bool(work_dir), f"work_dir must be a directory path string (or set {WORK_DIR_ENV})")
     # the run's seed is the frontend's
-    _expect_known("frontend", raw_frontend,
-                  {f.name for f in dataclasses.fields(FrontendConfig)} - {"seed"})
-    _expect_field_types("frontend", raw_frontend, FrontendConfig)
-    try:
-        frontend = FrontendConfig(**raw_frontend, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"frontend: {exc}") from exc
-
-    flows = payload.get("flows", [])
-    _expect(isinstance(flows, list), "flows must be a list")
-    for i, flow in enumerate(flows):
-        _expect(isinstance(flow, dict) and "type" in flow, f"flows[{i}] must be an object with a type")
-        _expect_known(f"flows[{i}]", flow, _FLOW_KEYS)
-
-    executor = payload.get("executor", {})
-    _expect(isinstance(executor, dict), "executor must be an object")
-    _expect_known("executor", executor, ("strategy", "n_workers", "pin_cores"))
-    strategy = executor.get("strategy", "fine_grained")
-    _expect(strategy in STRATEGIES, f"executor.strategy must be {' or '.join(STRATEGIES)}")
-    n_workers = executor.get("n_workers", local_workers())
-    _expect(json_fits(n_workers, int) and n_workers >= 1,
-            "executor.n_workers must be a positive integer")
-    pin_cores = executor.get("pin_cores", False)
-    _expect(isinstance(pin_cores, bool), "executor.pin_cores must be true or false")
-
-    return RunConfig(work_dir=Path(work_dir), seed=seed, datasets=datasets, frontend=frontend,
-                     flows=flows, strategy=strategy, n_workers=n_workers, pin_cores=pin_cores)
-
-
-def _finite(value) -> bool:
-    """Whether a JSON number is one a float holds: json.load also returns NaN,
-    Infinity, -Infinity and integers past 1.8e308."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _mock_constants(i: int, raw: dict) -> MockCostConstants:
-    overrides = raw.get("constants", {})
-    _expect_known(f"flows[{i}].constants", overrides,
-                  [f.name for f in dataclasses.fields(MockCostConstants)])
-    _expect_field_types(f"flows[{i}].constants", overrides, MockCostConstants)
-    for key, value in overrides.items():
-        _expect(isinstance(value, str) or _finite(value),
-                f"flows[{i}].constants.{key} must be finite, got {value!r}")
-    return dataclasses.replace(MockCostConstants(), **overrides)
-
-
-_MOCK_FLOWS = {"mock_synth": mock_synth_flow, "mock_impl": mock_impl_flow}
-
-
-# JSON type of each key of a flow entry
-_FLOW_KEYS = {"type": (str, "a string"), "timeout_s": ((int, float), "a number"),
-              "environment": (dict, "an object"),
-              "constants": (dict, "an object"), "executable": (str, "a string"),
-              "name": (str, "a string"), "command": (list, "a list of strings"),
-              "required_files": (list, "a list of strings")}
-
-# the longest wait poll() takes, in whole milliseconds in a C int; Popen.communicate
-# waits on it, so a longer timeout fails every external job with OverflowError
-_MAX_TIMEOUT_S = (2 ** 31 - 1) / 1000
-
-# the keys each flow type reads
-_TYPE_KEYS = {
-    **{kind: ("type", "timeout_s", "constants") for kind in _MOCK_FLOWS},
-    **{kind: ("type", "timeout_s", "environment", "executable", "command")
-       for kind in EXTERNAL_FLOWS},
-    "custom": ("type", "name", "command", "required_files", "timeout_s", "environment"),
-}
+    frontend = _read("frontend", run.frontend, FrontendConfig, seed=run.seed)
+    for index, flow in enumerate(run.flows):
+        _flow_entry(index, flow)
+    executor = _read("executor", run.executor, _Executor)
+    return RunConfig(work_dir=Path(work_dir), seed=run.seed, datasets=run.datasets,
+                     frontend=frontend, flows=run.flows, strategy=executor.strategy,
+                     n_workers=executor.n_workers, pin_cores=executor.pin_cores)
 
 
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
-    """Instantiate every configured flow up front (missing tools fail fast); no two
-    may share a name, and no entry holds a key its type does not read."""
+    """Instantiate every configured flow up front (missing tools fail fast); each entry
+    is read as its type declares (_flow_entry), and no two flows may share a name."""
     specs = []
     for i, raw in enumerate(raw_flows):
-        for key, (kind, what) in _FLOW_KEYS.items():
-            if key in raw:
-                value = raw[key]
-                _expect(isinstance(value, kind) and not isinstance(value, bool)
-                        and (kind is not list or all(isinstance(item, str) for item in value)),
-                        f"flows[{i}].{key} must be {what}")
-        kind = raw["type"]
-        _expect(kind in _TYPE_KEYS, f"flows[{i}]: unknown flow type {kind!r}")
-        unread = sorted(set(raw) - set(_TYPE_KEYS[kind]))
-        _expect(not unread, f"flows[{i}]: a {kind} flow reads no key(s) "
-                            f"{', '.join(map(repr, unread))}")
-        timeout_s = raw.get("timeout_s", 3600.0)
-        _expect(_finite(timeout_s) and 0 < timeout_s <= _MAX_TIMEOUT_S,
-                f"flows[{i}].timeout_s must be positive and at most {_MAX_TIMEOUT_S}, "
-                f"got {timeout_s!r}")
-        timeout_s = float(timeout_s)
-        environment = tuple(sorted((k, str(v)) for k, v in raw.get("environment", {}).items()))
-        command = tuple(raw.get("command", ()))
-        if kind in _MOCK_FLOWS:
-            specs.append(_MOCK_FLOWS[kind](timeout_s=timeout_s, constants=_mock_constants(i, raw)))
-        elif kind in EXTERNAL_FLOWS:
-            flow = EXTERNAL_FLOWS[kind]
-            specs.append(flow.spec(raw.get("executable", flow.executable), command, timeout_s,
-                                   environment))
-        else:
-            if not command:
-                raise ConfigError(f"flows[{i}]: custom flow needs a command list")
-            specs.append(custom_flow(name=raw.get("name", f"custom_{i}"), command=command,
-                                     required_files=tuple(raw.get("required_files", ())),
-                                     timeout_s=timeout_s, environment=environment))
+        specs.append(_flow_entry(i, raw).spec(i))
         first = next(j for j, spec in enumerate(specs) if spec.name == specs[-1].name)
         _expect(first == i, f"flows[{first}] and flows[{i}] are both named {specs[-1].name!r}; "
                             f"a flow's name keys its log and its outcomes")
@@ -397,7 +345,7 @@ def bundled_designs_dir() -> Path:
 def cmd_demo(args) -> int:
     from . import aggregate as agg
     from .analysis import coverage_summary, format_coverage_table
-    from .frontends import FrontendConfig, empty_assignment, execute_frontend, lower_xilinx
+    from .frontends import empty_assignment, execute_frontend, lower_xilinx
     out_dir = Path(args.out)
     layout = WorkspaceLayout(out_dir).ensure()
     fixtures = bundled_designs_dir()

@@ -17,7 +17,7 @@ from collections.abc import Collection, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_origin
 
 from .errors import EmptyDataset, MalformedReport, ManifestMissing, MissingDirectory
 from .optdsl import DirectiveAssignment, canonical_text
@@ -49,7 +49,7 @@ SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
 # where a lowering for intel puts a label's annotations, and where they are read back
 ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _JSON_BLOCK_TOKENS = 4096
 
 
@@ -65,6 +65,23 @@ class AbstractDesign:
     @property
     def frontend_ready(self) -> bool:
         return OPT_TEMPLATE_FILENAME in self.files
+
+
+@dataclass(frozen=True)
+class FrontendConfig:
+    """How expansion samples each design space: the run config's frontend section,
+    with the run's seed."""
+
+    vendor: str = "xilinx"
+    random_sample: bool = True
+    n_samples: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.vendor not in VENDORS:
+            raise ValueError(f"vendor must be {' or '.join(VENDORS)}, got {self.vendor!r}")
+        if self.random_sample and self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +210,13 @@ def _subdirs(directory: Path) -> list[Path]:
     return [directory / name for name in names]
 
 
+def plain_name(what: str, name: str) -> None:
+    """ValueError naming what, unless name is fit to name a file or directory of the
+    work tree: [A-Za-z0-9_]+."""
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"{what} {name!r} must be [A-Za-z0-9_]+")
+
+
 def load_dataset(dataset_dir: Path, name: str | None = None) -> DesignDataset:
     """Each immediate subdirectory becomes one AbstractDesign (sorted by name)."""
     dataset_dir = Path(dataset_dir)
@@ -203,8 +227,7 @@ def load_dataset(dataset_dir: Path, name: str | None = None) -> DesignDataset:
     for sub in _subdirs(dataset_dir):
         if sub.name.startswith("."):
             continue
-        if not _NAME_RE.match(sub.name):
-            raise ValueError(f"design directory name {sub.name!r} must be [A-Za-z0-9_]+")
+        plain_name("design directory name", sub.name)
         designs.append(AbstractDesign(sub.name, name, sub, list_design_files(sub)))
     if not designs:
         raise EmptyDataset(f"dataset directory {dataset_dir} holds no design subdirectories")
@@ -256,8 +279,13 @@ def read_json(path: Path) -> dict | None:
 
 def json_fits(value, hint) -> bool:
     """Whether a decoded JSON value has a field's type: only a bool fits bool, an
-    int that is not a bool fits int, any number fits float, and None fits only
-    an optional field (``int | None``)."""
+    int that is not a bool fits int, any number fits float, None fits only an
+    optional field (``int | None``), and a list fits ``list[X]``, or an object
+    ``dict[str, X]``, when each of its items, or values, fits X."""
+    if get_origin(hint) in (list, dict):
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, get_origin(hint)) and all(
+            json_fits(item, get_args(hint)[-1]) for item in items)
     kinds = get_args(hint) or (hint,)
     if isinstance(value, bool):
         return bool in kinds

@@ -45,6 +45,7 @@ from .toolflows import (
     flow_log,
     run_flow,
     tool_version,
+    write_log,
 )
 
 
@@ -82,8 +83,7 @@ def _finish(design, flows: tuple, version: str, steps: list) -> list:
             extract_design(design, flows[0], version, steps[0][0])
         except OSError as exc:
             outcome, start, end = steps[0]
-            with open(outcome.log_path, "a") as log:
-                log.write(f"extraction failed: {type(exc).__name__}: {exc}\n")
+            write_log(outcome.log_path, f"extraction failed: {type(exc).__name__}: {exc}\n", "a")
             steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
     return [(outcome.status, outcome.runtime_s, start, end) for outcome, start, end in steps]
 

@@ -34,7 +34,7 @@ from .core import (
     ConcreteDesign,
     DatasetCollection,
     DesignDataset,
-    VENDORS,
+    FrontendConfig,
     WorkspaceLayout,
     concrete_design_id,
     design_dir,
@@ -76,20 +76,6 @@ PROVENANCE_FILENAME = "data_intel_provenance.json"
 # index range, larger ones by rejection; both keep O(k) state, and the limit
 # stays because it decides which draws a seed makes
 _SHUFFLE_LIMIT = 1 << 20
-
-
-@dataclass(frozen=True)
-class FrontendConfig:
-    vendor: str = "xilinx"
-    random_sample: bool = True
-    n_samples: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.vendor not in VENDORS:
-            raise ValueError(f"unknown vendor {self.vendor!r}")
-        if self.random_sample and self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)

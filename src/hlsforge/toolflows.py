@@ -33,8 +33,9 @@ import math
 import os
 import re
 import shutil
+import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -48,6 +49,7 @@ from .core import (
     design_dir,
     design_identity,
     manifest_value,
+    plain_name,
     read_json,
     validate_design_files,
     walk_files,
@@ -76,6 +78,11 @@ _PRAGMA_UNROLL_RE = re.compile(r"^\s*#pragma\s+unroll\s+(\d+)\s*$")
 _NUMBANKS_RE = re.compile(r"^\s*hls_numbanks\((\d+)\)\s*$")
 _BANKWIDTH_RE = re.compile(r"^\s*hls_bankwidth\((\d+)\)\s*$")
 
+DEFAULT_TIMEOUT_S = 3600.0  # a flow's time budget when none is given
+# the longest wait poll() takes, in whole milliseconds in a C int; Popen.communicate
+# waits on it, so a longer timeout fails every external job with OverflowError
+MAX_TIMEOUT_S = (2 ** 31 - 1) / 1000
+
 
 @dataclass(frozen=True)
 class MockCostConstants:
@@ -93,6 +100,12 @@ class MockCostConstants:
     power_base_w: float = 0.5
     power_lut_w: float = 1e-5
     power_dsp_w: float = 1e-3
+
+    def __post_init__(self):
+        for constant in fields(self):  # json.load also gives NaN, Infinity and huge ints
+            value = getattr(self, constant.name)
+            if not isinstance(value, str) and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{constant.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,7 @@ class ToolFlowSpec:
     name: str
     kind: str
     required_files: tuple[str, ...] = ()
-    timeout_s: float = 3600.0
+    timeout_s: float = DEFAULT_TIMEOUT_S
     environment: tuple[tuple[str, str], ...] = ()
     command_template: tuple[str, ...] = ()
     version_command: tuple[str, ...] = ()
@@ -190,14 +203,14 @@ class DirectiveProfile:
     mode: str  # "tcl", "intel" or "bare"
 
 
-def mock_synth_flow(timeout_s: float = 60.0,
+def mock_synth_flow(timeout_s: float = DEFAULT_TIMEOUT_S,
                     constants: MockCostConstants = MockCostConstants()) -> ToolFlowSpec:
     return ToolFlowSpec(name="mock_hls_synth", kind=KIND_MOCK_SYNTH,
                         required_files=(MANIFEST_FILENAME,), timeout_s=timeout_s,
                         constants=constants)
 
 
-def mock_impl_flow(timeout_s: float = 60.0,
+def mock_impl_flow(timeout_s: float = DEFAULT_TIMEOUT_S,
                    constants: MockCostConstants = MockCostConstants()) -> ToolFlowSpec:
     return ToolFlowSpec(name="mock_impl", kind=KIND_MOCK_IMPL,
                         required_files=(MANIFEST_FILENAME, CSYNTH_REPORT_RELPATH),
@@ -209,47 +222,104 @@ def _require_executable(executable: str) -> None:
         raise ExecutableNotFound(f"{executable!r} not found on PATH")
 
 
-@dataclass(frozen=True)
-class ExternalFlow:
-    """A vendor flow type: its name, default executable, the argv after the
-    executable ({sources} expands to the design's top-level C/C++ files), the
-    files each design needs, and the argv after the executable that prints the
-    tool version."""
-
-    name: str
-    executable: str
-    argv: tuple[str, ...]
-    required_files: tuple[str, ...]
-    version_argv: tuple[str, ...]
-
-    def spec(self, executable: str, command: tuple[str, ...], timeout_s: float,
-             environment: tuple[tuple[str, str], ...]) -> ToolFlowSpec:
-        """The flow's spec; a non-empty command replaces the default argv."""
-        _require_executable(executable)
-        return ToolFlowSpec(name=self.name, kind=KIND_EXTERNAL,
-                            required_files=self.required_files, timeout_s=timeout_s,
-                            environment=environment,
-                            command_template=command or (executable, *self.argv),
-                            version_command=(executable, *self.version_argv))
-
-
-EXTERNAL_FLOWS = {flow.name: flow for flow in (
-    ExternalFlow("vitis_hls_synth", "vitis_hls", ("-f", "dataset_hls.tcl"),
-                 ("dataset_hls.tcl",), ("-version",)),
-    ExternalFlow("vitis_hls_impl", "vitis_hls", ("-f", "dataset_hls_ip_export.tcl"),
-                 ("dataset_hls_ip_export.tcl",), ("-version",)),
-    ExternalFlow("intel_hls", "i++", ("-march=FPGA", "--quartus-compile", "{sources}"),
-                 (), ("--version",)),
+# the vendor flow types, each as its default executable, its command's first item,
+# runs it ({sources} expands to the design's top-level C/C++ files)
+EXTERNAL_FLOWS = {spec.name: spec for spec in (
+    ToolFlowSpec("vitis_hls_synth", KIND_EXTERNAL, ("dataset_hls.tcl",),
+                 command_template=("vitis_hls", "-f", "dataset_hls.tcl"),
+                 version_command=("vitis_hls", "-version")),
+    ToolFlowSpec("vitis_hls_impl", KIND_EXTERNAL, ("dataset_hls_ip_export.tcl",),
+                 command_template=("vitis_hls", "-f", "dataset_hls_ip_export.tcl"),
+                 version_command=("vitis_hls", "-version")),
+    ToolFlowSpec("intel_hls", KIND_EXTERNAL,
+                 command_template=("i++", "-march=FPGA", "--quartus-compile", "{sources}"),
+                 version_command=("i++", "--version")),
 )}
 
 
 def custom_flow(name: str, command: tuple[str, ...], required_files: tuple[str, ...] = (),
-                timeout_s: float = 3600.0, environment: tuple[tuple[str, str], ...] = ()
-                ) -> ToolFlowSpec:
+                timeout_s: float = DEFAULT_TIMEOUT_S,
+                environment: tuple[tuple[str, str], ...] = ()) -> ToolFlowSpec:
     """External flow around an arbitrary command; {design_dir} expands in argv."""
     _require_executable(command[0])
     return ToolFlowSpec(name=name, kind=KIND_EXTERNAL, required_files=required_files,
                         timeout_s=timeout_s, environment=environment, command_template=command)
+
+
+@dataclass
+class FlowEntry:
+    """An entry of a run config's flows: each flow type declares the keys it reads as
+    the fields of a subclass (FLOW_ENTRIES), with their JSON types and defaults."""
+
+    type: str
+    timeout_s: float = DEFAULT_TIMEOUT_S
+
+    def __post_init__(self):
+        if not 0 < self.timeout_s <= MAX_TIMEOUT_S:  # false for NaN as well
+            raise ValueError(f"timeout_s must be positive and at most {MAX_TIMEOUT_S}, got "
+                             f"{self.timeout_s!r}")
+        self.timeout_s = float(self.timeout_s)
+
+
+def _environment(variables: dict) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted((name, str(value)) for name, value in variables.items()))
+
+
+@dataclass
+class MockFlowEntry(FlowEntry):
+    """mock_synth or mock_impl; no mock run reads its timeout."""
+
+    constants: MockCostConstants = MockCostConstants()
+
+    def spec(self, index: int) -> ToolFlowSpec:
+        flow = mock_synth_flow if self.type == KIND_MOCK_SYNTH else mock_impl_flow
+        return flow(self.timeout_s, self.constants)
+
+
+@dataclass
+class ExternalFlowEntry(FlowEntry):
+    """A type of EXTERNAL_FLOWS: a null executable or an empty command is the type's own."""
+
+    environment: dict = field(default_factory=dict)
+    executable: str | None = None
+    command: list[str] = ()
+
+    def spec(self, index: int) -> ToolFlowSpec:
+        flow = EXTERNAL_FLOWS[self.type]
+        executable = flow.command_template[0] if self.executable is None else self.executable
+        _require_executable(executable)
+        command = tuple(self.command) or (executable, *flow.command_template[1:])
+        return replace(flow, timeout_s=self.timeout_s, environment=_environment(self.environment),
+                       command_template=command,
+                       version_command=(executable, *flow.version_command[1:]))
+
+
+@dataclass
+class CustomFlowEntry(FlowEntry):
+    """A custom flow, named custom_<index> when its name is null. The name names the
+    flow's log file, so it is a plain name (core.plain_name)."""
+
+    name: str | None = None
+    command: list[str] = ()
+    required_files: list[str] = ()
+    environment: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.command:
+            raise ValueError("command must be a non-empty list of strings")
+        if self.name is not None:
+            plain_name("name", self.name)
+
+    def spec(self, index: int) -> ToolFlowSpec:
+        return custom_flow(f"custom_{index}" if self.name is None else self.name,
+                           tuple(self.command), tuple(self.required_files), self.timeout_s,
+                           _environment(self.environment))
+
+
+# each flow type a run config's flows may name, and the keys its entries read
+FLOW_ENTRIES = {KIND_MOCK_SYNTH: MockFlowEntry, KIND_MOCK_IMPL: MockFlowEntry,
+                **dict.fromkeys(EXTERNAL_FLOWS, ExternalFlowEntry), "custom": CustomFlowEntry}
 
 
 def tool_version(spec: ToolFlowSpec) -> str:
@@ -515,14 +585,27 @@ def flow_log(root: Path, flow_name: str) -> Path:
     return root / f"{flow_name}.log"
 
 
+def write_log(path: Path, text: str, mode: str = "w") -> bool:
+    """Write text to a flow's log, or with mode "a" append it; False when the log
+    cannot be written. A run whose log cannot be written failed, and fails only its
+    own design: this is where that write error becomes an outcome."""
+    try:
+        with open(path, mode) as log:
+            log.write(text)
+    except OSError:
+        return False
+    return True
+
+
 def _outcome(spec: ToolFlowSpec, design, status: str, runtime: float, log: str) -> FlowOutcome:
-    """A run of spec on design ended with status: write its log; a mock run that did not
-    end ok leaves no earlier run's report behind."""
+    """A run of spec on design ended with status: write its log (write_log); a mock run
+    that did not end ok leaves no earlier run's report behind."""
     root = design_dir(design)
+    log_path = flow_log(root, spec.name)
+    if not write_log(log_path, log):
+        status = STATUS_FAILED
     if status != STATUS_OK and spec.kind in _MOCK_REPORTS:
         (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
-    log_path = flow_log(root, spec.name)
-    log_path.write_text(log)
     return FlowOutcome(design_identity(design), spec.name, status, runtime, log_path)
 
 

@@ -450,3 +450,28 @@ def test_a_lost_worker_fails_its_chain_alone(tmp_path, capsys):
             assert statuses == {STATUS_OK}
             assert (design.dir / "slept.txt").exists()
             assert bundle.execution.status == STATUS_OK and bundle.hls is not None
+
+
+def test_a_log_that_cannot_be_written_fails_only_its_design(tmp_path, capsys):
+    work, collection = expanded_gemm(tmp_path, n_samples=4)
+    designs = collection["ds__post_frontend"].designs
+    bad = designs[1]
+    (bad.dir / "mock_hls_synth.log").mkdir()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"work_dir": str(work), "executor": {"n_workers": 2},
+                                  "flows": [{"type": "mock_synth"}, {"type": "mock_impl"}]}))
+    assert main(["build", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "flow mock_hls_synth: failed=1, ok=3" in out
+    assert "flow mock_impl: ok=3, skipped_missing_files=1" in out
+    timeline = json.loads((work / "timeline.json").read_text())
+    assert {(entry["design_id"], entry["flow"]): entry["status"] for entry in timeline} == {
+        (design.id, flow): STATUS_OK if design is not bad
+        else {"mock_hls_synth": STATUS_FAILED, "mock_impl": "skipped_missing_files"}[flow]
+        for design in designs for flow in ("mock_hls_synth", "mock_impl")}
+    assert not (bad.dir / CSYNTH_REPORT_RELPATH).exists()  # a failed run keeps no report
+    assert read_standard_json(bad.dir).execution.status == STATUS_FAILED
+    for design in designs:
+        if design is not bad:
+            bundle = read_standard_json(design.dir)
+            assert bundle.execution.status == STATUS_OK and bundle.impl is not None

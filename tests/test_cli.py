@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -476,3 +478,47 @@ def test_a_mock_constant_that_is_not_finite_is_refused(tmp_path, capsys, name, v
     assert main(["build", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: flows[0].constants.{name} must be finite, got ")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "", "x\n", "."])
+def test_a_dataset_name_must_be_a_plain_name(tmp_path, capsys, name):
+    source = tmp_path / "src_ds"
+    make_design(source, "alpha")
+    config = write_config(tmp_path, datasets={name: str(source)})
+    assert main(["expand", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: datasets name {name!r} must be [A-Za-z0-9_]+\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "src_ds"]
+
+
+@pytest.mark.parametrize("name", ["sub/lint", "../lint", "", "lint.sh"])
+def test_a_custom_flow_name_must_be_a_plain_name(tmp_path, capsys, name):
+    (tmp_path / "work").mkdir()
+    config = write_config(tmp_path, flows=[{"type": "custom", "name": name,
+                                            "command": ["sh", "-c", "true"]}])
+    assert main(["build", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: flows[0].name {name!r} must be [A-Za-z0-9_]+\n"
+
+
+def readme_run_configuration() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split("### Run configuration\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_run_configuration_example_is_a_valid_config(tmp_path):
+    example = readme_run_configuration().split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(example)
+    config = load_run_config(path)
+    assert len(build_flow_specs(config.flows)) == len(json.loads(example)["flows"]) > 0
+
+
+def test_the_readme_flow_key_table_is_the_declaration():
+    from hlsforge.toolflows import FLOW_ENTRIES
+    rows = [line.split("|")[1:3] for line in readme_run_configuration().splitlines()
+            if line.startswith("| `")]
+    table = {kind.strip(" `"): [key.strip(" `") for key in keys.split(",")]
+             for kinds, keys in rows for kind in kinds.split(",")}
+    assert table == {kind: [field.name for field in dataclasses.fields(entry)]
+                     for kind, entry in FLOW_ENTRIES.items()}

@@ -5,6 +5,7 @@ under every other CPython on PATH."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -78,6 +79,28 @@ specs = build_flow_specs([{{"type": "mock_synth", "constants": {{"lut_per_op": 3
                           {{"type": "mock_impl"}},
                           {{"type": "custom", "command": ["sh", "-c", "true"]}}])
 assert len(specs) == 3
+print(sorted(m for m in sys.modules if m.startswith("hlsforge")))
+"""
+    assert eval(run_script(script)) == ["hlsforge", "hlsforge.cli", "hlsforge.core",
+                                        "hlsforge.errors", "hlsforge.optdsl",
+                                        "hlsforge.toolflows"]
+
+
+def test_reading_a_run_config_loads_only_the_set_up_path(tmp_path):
+    """Reading a config loads nothing only a command's run needs: aggregate calls
+    load_run_config, and the benchmark's set-up calls build_flow_specs."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(tmp_path / "work"), "datasets": {"ds": str(tmp_path)},
+        "frontend": {"vendor": "intel", "n_samples": 2},
+        "flows": [{"type": "mock_synth", "constants": {"lut_per_op": 31}},
+                  {"type": "custom", "name": "lint", "command": ["sh", "-c", "true"]}],
+        "executor": {"strategy": "naive", "n_workers": 2}}))
+    script = f"""
+import sys
+from hlsforge.cli import build_flow_specs, load_run_config
+config = load_run_config({str(config)!r})
+assert config.frontend.vendor == "intel" and len(build_flow_specs(config.flows)) == 2
 print(sorted(m for m in sys.modules if m.startswith("hlsforge")))
 """
     assert eval(run_script(script)) == ["hlsforge", "hlsforge.cli", "hlsforge.core",
