@@ -19,7 +19,8 @@ import sys
 import tempfile
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields, make_dataclass
+from contextlib import suppress
+from dataclasses import asdict, dataclass, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
@@ -31,6 +32,7 @@ from .core import (  # the report paths live in core, which the set-up path load
     SOURCE_SUFFIXES,
     json_fits,
     list_post_frontend,
+    read_declared,
     read_json,
     replace_on_success,
     walk_files,
@@ -100,17 +102,10 @@ _SECTIONS = (("hls", HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
              ("execution", ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
 
 
-def _field_hints(cls) -> dict:
-    """Field name -> type hint, in field order; a nullable field's is ``int | None``."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-_FIELD_HINTS = {cls: _field_hints(cls) for _, cls, _, _ in _SECTIONS}
 # field name -> plain type, in field order; ``int | None`` gives int
 _FIELD_TYPES = {cls: {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
-                      for name, hint in hints.items()}
-                for cls, hints in _FIELD_HINTS.items()}
+                      for name, hint in get_type_hints(cls).items()}
+                for _, cls, _, _ in _SECTIONS}
 
 # Column order is the table schema; exports and imports key off these names.
 # The identity and assignment columns come first, then every metric field
@@ -211,23 +206,15 @@ def parse_vitis_csynth_report(xml_text: str) -> HlsSynthMetrics:
 
 
 def parse_impl_report(json_text: str) -> ImplMetrics:
-    """Parse an impl_report.json: each field must hold a value of its JSON type
-    (core.json_fits), or MalformedReport is raised; an integer in a float field
-    is read as a float."""
+    """Parse an impl_report.json, an object read as ImplMetrics declares
+    (core.read_declared): a key no field declares is ignored, each field must hold
+    a value of its JSON type, and an integer in a float field is read as a float.
+    Raises MissingField or MalformedReport."""
     try:
         payload = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise MalformedReport(f"impl report is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise MalformedReport("impl report must be a JSON object")
-    for name, kind in _FIELD_TYPES[ImplMetrics].items():
-        if name not in payload:
-            raise MissingField(f"impl report lacks required field {name!r}")
-        if not json_fits(payload[name], kind):
-            raise MalformedReport(f"impl report field {name!r} holds {payload[name]!r}, "
-                                  f"not {kind.__name__}")
-    return ImplMetrics(**{name: float(payload[name]) if kind is float else payload[name]
-                          for name, kind in _FIELD_TYPES[ImplMetrics].items()})
+    return read_declared(ImplMetrics, payload, ignore_unknown=True)
 
 
 def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
@@ -249,21 +236,16 @@ def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
 
 
 def _read_section(design_dir: Path, filename: str, cls):
-    """The section stored in filename, or None when the file is absent or
-    corrupted (not a JSON object; fields missing, unknown or of the wrong JSON
-    type): one bad sidecar leaves its section null rather than sink the table."""
-    try:
+    """The section stored in filename, read as cls declares (core.read_declared), or
+    None when the file is absent or corrupted (not a JSON object; fields missing,
+    unknown or of the wrong JSON type): one bad sidecar leaves its section null
+    rather than sink the table."""
+    with suppress(MalformedReport, MissingField):
         payload = read_json(design_dir / filename)
-    except MalformedReport:
-        return None
-    if payload is None:
-        return None
-    payload.pop("schema_version", None)
-    hints = _FIELD_HINTS[cls]
-    if payload.keys() != hints.keys() or not all(json_fits(payload[name], hint)
-                                                 for name, hint in hints.items()):
-        return None
-    return cls(**payload)
+        if payload is not None:
+            payload.pop("schema_version", None)
+            return read_declared(cls, payload)
+    return None
 
 
 def read_standard_json(design_dir: Path) -> MetricsBundle:

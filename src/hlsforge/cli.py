@@ -18,24 +18,23 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .core import (
+    POST_FRONTEND_SUFFIX,
     STRATEGIES,
     DatasetCollection,
     FrontendConfig,
     WorkspaceLayout,
     design_identity,
-    json_fits,
     load_dataset,
     load_post_frontend,
     local_workers,
     plain_name,
+    read_declared,
     read_json,
     write_json,
 )
@@ -46,6 +45,7 @@ from .errors import (
     HlsForgeError,
     MalformedReport,
     MissingDirectory,
+    MissingField,
     NoPairs,
 )
 from .toolflows import (
@@ -73,20 +73,6 @@ class RunConfig:
 
 
 @dataclasses.dataclass
-class _RunFile:
-    work_dir: str = ""
-    seed: int = 0
-    datasets: dict[str, str] = dataclasses.field(default_factory=dict)
-    frontend: dict = dataclasses.field(default_factory=dict)
-    flows: list = dataclasses.field(default_factory=list)
-    executor: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in self.datasets:  # each names a directory of the work tree
-            plain_name("datasets name", name)
-
-
-@dataclasses.dataclass
 class _Executor:
     strategy: str = "fine_grained"
     # this module's local_workers, looked up each time a config is read
@@ -100,7 +86,20 @@ class _Executor:
             raise ValueError("n_workers must be a positive integer")
 
 
-_hints = functools.cache(get_type_hints)
+@dataclasses.dataclass
+class _RunFile:
+    work_dir: str = ""
+    seed: int = 0
+    datasets: dict[str, str] = dataclasses.field(default_factory=dict)
+    frontend: dict = dataclasses.field(default_factory=dict)
+    flows: list = dataclasses.field(default_factory=list)
+    executor: _Executor = dataclasses.field(default_factory=_Executor)
+
+    def __post_init__(self):
+        for name in self.datasets:  # each names a directory of the work tree
+            plain_name("datasets name", name)
+            if name.endswith(POST_FRONTEND_SUFFIX):  # the directory of the name without it
+                raise ValueError(f"datasets name {name!r} must not end in {POST_FRONTEND_SUFFIX}")
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -108,28 +107,17 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _read(where, raw, cls, **given):
-    """raw, a JSON object, read as the dataclass cls, whose fields declare its keys:
-    a key that is no field is refused, each value must have its field's JSON type
-    (core.json_fits), a value whose field is a dataclass is read the same way, and a
-    ValueError cls raises names the key. Fields in given take given's values and are
-    no keys of raw. where is raw's key path, or the config file's Path at the top."""
-    subject, at = (f"config file {where}", "") if isinstance(where, Path) else (where, f"{where}.")
-    _expect(isinstance(raw, dict), f"{subject} must be an object, got {raw!r}")
-    hints = _hints(cls)
-    unknown = set(raw) - (hints.keys() - given.keys())
-    _expect(not unknown, f"{subject}: unknown key(s) {', '.join(map(repr, sorted(unknown)))}")
-    for key, value in raw.items():
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            value = _read(at + key, value, hint)
-        _expect(json_fits(value, hint), f"{at}{key} must have type "
-                f"{hint if get_args(hint) else hint.__name__}, got {value!r}")
-        given[key] = value
+def _read(cls, raw, where: str, prefix: str = "", **given):
+    """raw, the object at key path where, read as the dataclass cls declares
+    (core.read_declared), refusing a key no field declares. What it refuses is a
+    ConfigError: prefix goes before what the reader finds, while a declaration's own
+    check names its key path alone."""
     try:
-        return cls(**given)
+        return read_declared(cls, raw, where, **given)
     except ValueError as exc:
-        raise ConfigError(f"{at}{exc}") from exc
+        raise ConfigError(str(exc)) from exc
+    except (MissingField, MalformedReport) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _flow_entry(index: int, raw) -> FlowEntry:
@@ -139,11 +127,12 @@ def _flow_entry(index: int, raw) -> FlowEntry:
     _expect(isinstance(raw, dict) and "type" in raw, f"{where} must be an object with a type")
     kind = raw["type"]
     _expect(isinstance(kind, str) and kind in FLOW_ENTRIES, f"{where}: unknown flow type {kind!r}")
+    own = {field.name for field in dataclasses.fields(FLOW_ENTRIES[kind])}
     unread = {field.name for entry in FLOW_ENTRIES.values() for field in dataclasses.fields(entry)
-              if field.name in raw} - _hints(FLOW_ENTRIES[kind]).keys()
+              if field.name in raw} - own
     _expect(not unread, f"{where}: a {kind} flow reads no key(s) "
                         f"{', '.join(map(repr, sorted(unread)))}")
-    return _read(where, raw, FLOW_ENTRIES[kind])
+    return _read(FLOW_ENTRIES[kind], raw, f"{where}.")
 
 
 def load_run_config(path: Path) -> RunConfig:
@@ -154,17 +143,16 @@ def load_run_config(path: Path) -> RunConfig:
     except MalformedReport as exc:
         raise ConfigError(f"config file {exc}") from exc
     _expect(payload is not None, f"config file {path} does not exist")
-    run = _read(Path(path), payload, _RunFile)
+    run = _read(_RunFile, payload, "", f"config file {path}: ")
     work_dir = os.environ.get(WORK_DIR_ENV) or run.work_dir
     _expect(bool(work_dir), f"work_dir must be a directory path string (or set {WORK_DIR_ENV})")
     # the run's seed is the frontend's
-    frontend = _read("frontend", run.frontend, FrontendConfig, seed=run.seed)
+    frontend = _read(FrontendConfig, run.frontend, "frontend.", seed=run.seed)
     for index, flow in enumerate(run.flows):
         _flow_entry(index, flow)
-    executor = _read("executor", run.executor, _Executor)
     return RunConfig(work_dir=Path(work_dir), seed=run.seed, datasets=run.datasets,
-                     frontend=frontend, flows=run.flows, strategy=executor.strategy,
-                     n_workers=executor.n_workers, pin_cores=executor.pin_cores)
+                     frontend=frontend, flows=run.flows, strategy=run.executor.strategy,
+                     n_workers=run.executor.n_workers, pin_cores=run.executor.pin_cores)
 
 
 def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:

@@ -8,18 +8,19 @@ aggregation operate on that tree.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
 import os
 import re
 from collections.abc import Collection, Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import EmptyDataset, MalformedReport, ManifestMissing, MissingDirectory
+from .errors import EmptyDataset, MalformedReport, MissingDirectory, MissingField
 from .optdsl import DirectiveAssignment, canonical_text
 
 # CPython's own SHA-256 module, _sha2 from 3.12 on and _sha256 before: hashlib would
@@ -292,16 +293,67 @@ def json_fits(value, hint) -> bool:
     return isinstance(value, kinds) or (float in kinds and isinstance(value, int))
 
 
-def manifest_value(path: Path, entry: dict, name: str, kind, where: str = "", default=None):
-    """entry[name] from the mock manifest at path, or default where entry lacks it:
-    a JSON value of type kind (json_fits; nothing is coerced, but an int in a
-    float field reads as a float). ManifestMissing, naming the field, otherwise."""
-    value = entry.get(name, default)
-    if value is None:
-        raise ManifestMissing(f"{path} lacks required field {where}{name!r}")
-    if not json_fits(value, kind):
-        raise ManifestMissing(f"{path}: field {where}{name!r} holds {value!r}, not {kind.__name__}")
-    return float(value) if kind is float else value
+@functools.cache
+def _declaration(cls) -> dict:
+    """The fields of the dataclass cls as read_declared reads them, by name in field
+    order: (the JSON type a value must fit, whether the key is required, the dataclass
+    the value, or each of its items, is read as, the list or tuple holding those items,
+    whether an int reads as a float). Built on the class's first read."""
+    hints = get_type_hints(cls)
+    plan = {}
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        container = get_origin(hint) if get_origin(hint) in (list, tuple) else None
+        item = get_args(hint)[0] if container else hint
+        if not is_dataclass(item):
+            item = container = None
+        plan[spec.name] = (hint if item is None else list if container else dict,
+                           spec.default is MISSING and spec.default_factory is MISSING,
+                           item, container, hint in (float, float | None))
+    return plan
+
+
+def read_declared(cls, payload, where: str = "", /, ignore_unknown: bool = False, **given):
+    """payload, a decoded JSON object, read as the dataclass cls, whose fields declare its keys.
+
+    A field without a default is required, and each value must fit its field's type
+    (json_fits); an int in a float field reads as a float. A field that is a dataclass,
+    or a list or tuple of one, is read the same way, item by item, into its declared
+    container. A key no field declares is refused, or with ignore_unknown ignored.
+    Fields in given take given's values and are no keys of payload. where is payload's
+    key path, "" at the top or ending in a dot ("loops[0]."), by which each message
+    names its key. Raises MissingField for an absent required key and MalformedReport
+    for anything else the payload gets wrong; a ValueError cls raises is raised again
+    with where before its message.
+    """
+    if not isinstance(payload, dict):
+        raise MalformedReport(f"{where[:-1]} is not an object" if where else "not an object")
+    plan = _declaration(cls)
+    if not ignore_unknown and (unknown := payload.keys() - (plan.keys() - given.keys())):
+        raise MalformedReport(f"{where[:-1] + ': ' if where else ''}unknown key(s) "
+                              f"{', '.join(map(repr, sorted(unknown)))}")
+    for name, (hint, required, item, container, to_float) in plan.items():
+        if name in given or name not in payload:
+            if required and name not in given:
+                raise MissingField(f"lacks required field {where}{name!r}")
+            continue
+        value = payload[name]
+        if type(value) is not hint and not json_fits(value, hint):  # an exact type fits
+            raise MalformedReport(f"field {where}{name!r} holds {value!r}, not "
+                                  f"{hint if get_args(hint) else hint.__name__}")
+        if container is not None:
+            value = container(read_declared(item, entry, f"{where}{name}[{i}].", ignore_unknown)
+                              for i, entry in enumerate(value))
+        elif item is not None:
+            value = read_declared(item, value, f"{where}{name}.", ignore_unknown)
+        elif to_float and type(value) is int:
+            with suppress(OverflowError):  # past every float: cls's own check may refuse it
+                value = float(value)
+        given[name] = value
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from exc
 
 
 def write_json(path: Path, obj) -> Path:

@@ -215,14 +215,6 @@ def map_directive_to_intel(line: DirectiveLine, choice: str,
     return out
 
 
-def _manifest_elem_bytes(design_dir: Path, label: str) -> int:
-    """The element width of array label in the design's manifest, read by MockManifest.load."""
-    for array in MockManifest.load(design_dir).arrays:
-        if array.label == label:
-            return array.elem_bytes
-    raise LabelUnknown(f"array label {label!r} not defined in {design_dir / MANIFEST_FILENAME}")
-
-
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
                 layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources and inject annotations after each label's anchor comment."""
@@ -230,12 +222,19 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
 
     by_label: dict[str, list[IntelAnnotation]] = {}
     provenance: list[dict] = []
+    widths = None  # each array's elem_bytes, from the manifest once a partition needs them
     for sel in assignment.canonicalized().selections:
         line = DirectiveLine(sel.line_index, sel.label, sel.fixed_directive,
                              sel.param_kind, (sel.choice,))
         elem_bytes = None
         if sel.param_kind == "array_partition":
-            elem_bytes = _manifest_elem_bytes(design.source_dir, sel.label)
+            if widths is None:
+                widths = {array.label: array.elem_bytes
+                          for array in MockManifest.load(design.source_dir).arrays}
+            if sel.label not in widths:
+                raise LabelUnknown(f"array label {sel.label!r} not defined in "
+                                   f"{design.source_dir / MANIFEST_FILENAME}")
+            elem_bytes = widths[sel.label]
         annotations = map_directive_to_intel(line, sel.choice, elem_bytes)
         by_label.setdefault(sel.label, []).extend(annotations)
         if sel.fixed_directive == "pipeline":

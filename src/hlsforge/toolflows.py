@@ -35,9 +35,8 @@ import re
 import shutil
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 from .core import (
     ANCHOR_RE,
@@ -48,8 +47,8 @@ from .core import (
     SOURCE_SUFFIXES,
     design_dir,
     design_identity,
-    manifest_value,
     plain_name,
+    read_declared,
     read_json,
     validate_design_files,
     walk_files,
@@ -61,6 +60,7 @@ from .errors import (
     LabelUnknown,
     MalformedReport,
     ManifestMissing,
+    MissingField,
     SynthReportMissing,
 )
 
@@ -123,34 +123,16 @@ class ArraySpec:
     elem_bytes: int
 
 
-# each manifest entry type's fields: (name, JSON type, default or None when required)
-_ENTRY_FIELDS = {spec: tuple((f.name, get_type_hints(spec)[f.name],
-                              None if f.default is MISSING else f.default) for f in fields(spec))
-                 for spec in (LoopSpec, ArraySpec)}
-
-
-def _manifest_entries(path: Path, payload: dict, name: str, spec, absent=None) -> tuple:
-    """The manifest's list payload[name] (absent, when it is left out and absent is
-    not None) as specs, each entry an object of spec's fields."""
-    found = []
-    for i, entry in enumerate(manifest_value(path, payload, name, list, "", absent)):
-        if not isinstance(entry, dict):
-            raise ManifestMissing(f"{path}: {name}[{i}] is not an object")
-        where = f"{name}[{i}]."
-        found.append(spec(**{field: manifest_value(path, entry, field, kind, where, default)
-                             for field, kind, default in _ENTRY_FIELDS[spec]}))
-    return tuple(found)
-
-
 @dataclass(frozen=True)
 class MockManifest:
-    """Workload description the mock cost model prices. Every value must have its
-    field's JSON type (core.manifest_value): nothing is coerced."""
+    """Workload description the mock cost model prices, read by its declaration
+    (core.read_declared): every value must have its field's JSON type, and a key no
+    field declares, such as ``top``, is ignored."""
 
     loops: tuple[LoopSpec, ...]
-    arrays: tuple[ArraySpec, ...]
     base_lut: int
     base_ff: int
+    arrays: tuple[ArraySpec, ...] = ()
     clock_target_ns: float = 10.0
 
     @classmethod
@@ -162,12 +144,10 @@ class MockManifest:
             raise ManifestMissing(str(exc)) from exc
         if payload is None:
             raise ManifestMissing(f"{path} does not exist")
-        return cls(loops=_manifest_entries(path, payload, "loops", LoopSpec),
-                   arrays=_manifest_entries(path, payload, "arrays", ArraySpec, []),
-                   base_lut=manifest_value(path, payload, "base_lut", int),
-                   base_ff=manifest_value(path, payload, "base_ff", int),
-                   clock_target_ns=manifest_value(path, payload, "clock_target_ns", float,
-                                                  default=10.0))
+        try:
+            return read_declared(cls, payload, ignore_unknown=True)
+        except (MissingField, MalformedReport) as exc:
+            raise ManifestMissing(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -258,7 +238,6 @@ class FlowEntry:
         if not 0 < self.timeout_s <= MAX_TIMEOUT_S:  # false for NaN as well
             raise ValueError(f"timeout_s must be positive and at most {MAX_TIMEOUT_S}, got "
                              f"{self.timeout_s!r}")
-        self.timeout_s = float(self.timeout_s)
 
 
 def _environment(variables: dict) -> tuple[tuple[str, str], ...]:
@@ -599,13 +578,18 @@ def write_log(path: Path, text: str, mode: str = "w") -> bool:
 
 def _outcome(spec: ToolFlowSpec, design, status: str, runtime: float, log: str) -> FlowOutcome:
     """A run of spec on design ended with status: write its log (write_log); a mock run
-    that did not end ok leaves no earlier run's report behind."""
+    that did not end ok leaves no earlier run's report behind. A report that cannot be
+    removed fails the run, and its log ends with a line naming the error and the report."""
     root = design_dir(design)
     log_path = flow_log(root, spec.name)
     if not write_log(log_path, log):
         status = STATUS_FAILED
     if status != STATUS_OK and spec.kind in _MOCK_REPORTS:
-        (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
+        try:
+            (root / _MOCK_REPORTS[spec.kind]).unlink(missing_ok=True)
+        except OSError as exc:
+            status = STATUS_FAILED
+            write_log(log_path, f"stale report not removed: {type(exc).__name__}: {exc}\n", "a")
     return FlowOutcome(design_identity(design), spec.name, status, runtime, log_path)
 
 

@@ -546,6 +546,23 @@ def test_parse_impl_report_rejects_a_value_of_the_wrong_type(name, value):
         parse_impl_report(json.dumps({**IMPL_PAYLOAD, name: value}))
 
 
+def test_a_sidecar_integer_reads_as_a_float_where_a_float_is_due(tmp_path):
+    write_standard_json(tmp_path, sample_bundle())
+    impl = json.loads((tmp_path / "data_impl.json").read_text())
+    (tmp_path / "data_impl.json").write_text(json.dumps({**impl, "wns_ns": 1}))
+    wns = read_standard_json(tmp_path).impl.wns_ns
+    assert wns == 1.0 and isinstance(wns, float)
+    row = row_from_design_dir(tmp_path, dataset="ds")
+    out = export_tabular(AggregatedTable([row]), tmp_path / "t.csv")
+    header, cells = out.read_text().splitlines()
+    assert dict(zip(header.split(","), cells.split(",")))["impl_wns_ns"] == "1.0"
+
+
+def test_parse_impl_report_ignores_a_key_it_does_not_read():
+    assert parse_impl_report(json.dumps({**IMPL_PAYLOAD, "tool": "vivado"})) == \
+        parse_impl_report(json.dumps(IMPL_PAYLOAD))
+
+
 def test_parse_impl_report_reads_an_integer_as_a_float_field():
     metrics = parse_impl_report(json.dumps({**IMPL_PAYLOAD, "wns_ns": 6}))
     assert metrics.wns_ns == 6.0 and isinstance(metrics.wns_ns, float)

@@ -475,3 +475,33 @@ def test_a_log_that_cannot_be_written_fails_only_its_design(tmp_path, capsys):
         if design is not bad:
             bundle = read_standard_json(design.dir)
             assert bundle.execution.status == STATUS_OK and bundle.impl is not None
+
+
+def test_a_stale_report_that_cannot_be_removed_fails_only_its_design(tmp_path, capsys):
+    work, collection = expanded_gemm(tmp_path, n_samples=4)
+    designs = collection["ds__post_frontend"].designs
+    bad = designs[2]
+    report = bad.dir / CSYNTH_REPORT_RELPATH
+    report.mkdir(parents=True)  # no run can write it, and no failed run can remove it
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"work_dir": str(work), "executor": {"n_workers": 2},
+                                  "flows": [{"type": "mock_synth"}, {"type": "mock_impl"}]}))
+    assert main(["build", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "flow mock_hls_synth: failed=1, ok=3" in out
+    assert "flow mock_impl: failed=1, ok=3" in out
+    assert f"4 designs processed; timeline at {work / 'timeline.json'}" in out
+    timeline = json.loads((work / "timeline.json").read_text())
+    assert {(entry["design_id"], entry["flow"]): entry["status"] for entry in timeline} == {
+        (design.id, flow): STATUS_FAILED if design is bad else STATUS_OK
+        for design in designs for flow in ("mock_hls_synth", "mock_impl")}
+    error = f"IsADirectoryError: [Errno 21] Is a directory: '{report}'"
+    lines = (bad.dir / "mock_hls_synth.log").read_text().split("\n")
+    assert lines[:3] == [f"flow mock_hls_synth failed: {error}", "",
+                         "Traceback (most recent call last):"]
+    assert lines[-3:] == [f"{error}", f"stale report not removed: {error}", ""]
+    assert read_standard_json(bad.dir).execution.status == STATUS_FAILED
+    for design in designs:
+        if design is not bad:
+            bundle = read_standard_json(design.dir)
+            assert bundle.execution.status == STATUS_OK and bundle.impl is not None

@@ -491,6 +491,19 @@ def test_a_dataset_name_must_be_a_plain_name(tmp_path, capsys, name):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "src_ds"]
 
 
+@pytest.mark.parametrize("names", [("a", "a__post_frontend"), ("b__post_frontend",)],
+                         ids=["with-its-base", "alone"])
+def test_a_dataset_name_must_not_end_in_the_post_frontend_suffix(tmp_path, capsys, names):
+    # "a__post_frontend" names the directory of "a": work/a__post_frontend
+    source = tmp_path / "src_ds"
+    make_design(source, "alpha")
+    config = write_config(tmp_path, datasets=dict.fromkeys(names, str(source)))
+    assert main(["expand", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: datasets name {names[-1]!r} must not end in __post_frontend\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "src_ds"]
+
+
 @pytest.mark.parametrize("name", ["sub/lint", "../lint", "", "lint.sh"])
 def test_a_custom_flow_name_must_be_a_plain_name(tmp_path, capsys, name):
     (tmp_path / "work").mkdir()

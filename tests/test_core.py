@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,12 +18,13 @@ from hlsforge.core import (
     design_identity,
     list_design_files,
     load_dataset,
+    read_declared,
     read_json,
     validate_design_files,
     walk_files,
     write_json,
 )
-from hlsforge.errors import EmptyDataset, MalformedReport, MissingDirectory
+from hlsforge.errors import EmptyDataset, MalformedReport, MissingDirectory, MissingField
 from hlsforge.frontends import empty_assignment
 from hlsforge.optdsl import enumerate_design_space, iter_assignments, parse_opt_template
 from conftest import SIMPLE_TEMPLATE, make_design
@@ -162,3 +164,109 @@ def test_walk_files_yields_paths_in_sorted_order(tmp_path):
     walked = list(walk_files(root))
     assert walked == sorted(walked)
     assert len(walked) == len(set(walked)) == 28
+
+
+@dataclass(frozen=True)
+class Knobs:
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.scale < 0:
+            raise ValueError(f"scale must not be negative, got {self.scale!r}")
+
+
+@dataclass(frozen=True)
+class Item:
+    label: str
+    size: int = 0
+
+
+@dataclass(frozen=True)
+class Declared:
+    name: str
+    count: int = 0
+    ratio: float = 1.0
+    note: str | None = None
+    constants: Knobs = Knobs()
+    loops: list[Item] = ()
+    arrays: tuple[Item, ...] = ()
+
+
+# (payload, ignore_unknown, given) -> the value read, or (error class, its message)
+@pytest.mark.parametrize("payload, ignore_unknown, given, expected", [
+    ({"count": 2}, False, {}, (MissingField, "lacks required field 'name'")),
+    ({"name": "a", "count": None}, False, {},
+     (MalformedReport, "field 'count' holds None, not int")),
+    ({"name": "a", "note": None}, False, {}, Declared("a", note=None)),
+    ({"name": "a", "note": "n"}, False, {}, Declared("a", note="n")),
+    ({"name": "a", "note": 3}, False, {},
+     (MalformedReport, "field 'note' holds 3, not str | None")),
+    ({"name": "a", "count": True}, False, {},
+     (MalformedReport, "field 'count' holds True, not int")),
+    ({"name": "a", "count": 2.0}, False, {},
+     (MalformedReport, "field 'count' holds 2.0, not int")),
+    ({"name": "a", "ratio": 1}, False, {}, Declared("a", ratio=1.0)),
+    ({"name": "a", "ratio": False}, False, {},
+     (MalformedReport, "field 'ratio' holds False, not float")),
+    ({"name": "a", "extra": 1, "more": 2}, False, {},
+     (MalformedReport, "unknown key(s) 'extra', 'more'")),
+    ({"name": "a", "extra": 1}, True, {}, Declared("a")),
+    ({"name": "a"}, False, {"count": 5}, Declared("a", count=5)),
+    ({"name": "a", "count": 1}, False, {"count": 5}, (MalformedReport, "unknown key(s) 'count'")),
+    ([1, 2], False, {}, (MalformedReport, "not an object")),
+    ({"name": "a", "constants": {"scale": 2}}, False, {}, Declared("a", constants=Knobs(2.0))),
+    ({"name": "a", "constants": {"scale": "2"}}, False, {},
+     (MalformedReport, "field constants.'scale' holds '2', not float")),
+    ({"name": "a", "constants": {"scal": 2}}, False, {},
+     (MalformedReport, "constants: unknown key(s) 'scal'")),
+    ({"name": "a", "constants": {"scal": 2}}, True, {}, Declared("a")),
+    ({"name": "a", "constants": [2]}, False, {},
+     (MalformedReport, "field 'constants' holds [2], not dict")),
+    ({"name": "a", "constants": {"scale": -1}}, False, {},
+     (ValueError, "constants.scale must not be negative, got -1.0")),
+    ({"name": "a", "loops": [{"label": "x"}, {"label": "y", "size": 3}]}, False, {},
+     Declared("a", loops=[Item("x"), Item("y", 3)])),
+    ({"name": "a", "loops": [{"label": "x"}, {"size": 3}]}, False, {},
+     (MissingField, "lacks required field loops[1].'label'")),
+    ({"name": "a", "loops": [{"label": "x", "size": "3"}]}, False, {},
+     (MalformedReport, "field loops[0].'size' holds '3', not int")),
+    ({"name": "a", "loops": [{"label": "x", "tag": 1}]}, False, {},
+     (MalformedReport, "loops[0]: unknown key(s) 'tag'")),
+    ({"name": "a", "loops": [{"label": "x", "tag": 1}]}, True, {},
+     Declared("a", loops=[Item("x")])),
+    ({"name": "a", "arrays": [{"label": "b", "size": 4}]}, False, {},
+     Declared("a", arrays=(Item("b", 4),))),
+    ({"name": "a", "arrays": [7]}, False, {}, (MalformedReport, "arrays[0] is not an object")),
+    ({"name": "a", "arrays": {"b": 4}}, False, {},
+     (MalformedReport, "field 'arrays' holds {'b': 4}, not list")),
+], ids=["required-left-out", "null-not-optional", "null-optional", "optional-str",
+        "optional-wrong-type", "true-in-int", "float-in-int", "int-in-float", "false-in-float",
+        "refused-keys", "ignored-key", "given", "given-is-no-key", "not-an-object",
+        "nested-int-in-float", "nested-wrong-type", "nested-refused-key", "nested-ignored-key",
+        "nested-not-an-object", "nested-own-check", "list-of-items", "list-item-required",
+        "list-item-wrong-type", "list-item-refused-key", "list-item-ignored-key",
+        "tuple-of-items", "tuple-item-not-an-object", "tuple-not-a-list"])
+def test_read_declared(payload, ignore_unknown, given, expected):
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as raised:
+            read_declared(Declared, payload, ignore_unknown=ignore_unknown, **given)
+        assert str(raised.value) == message
+        return
+    value = read_declared(Declared, payload, ignore_unknown=ignore_unknown, **given)
+    # equal values, in the declared containers, with every float field a float
+    assert value == expected
+    assert type(value.loops) is type(expected.loops) and type(value.arrays) is tuple
+    assert type(value.ratio) is float and type(value.constants.scale) is float
+
+
+def test_read_declared_prefixes_every_message_with_the_key_path():
+    with pytest.raises(MalformedReport) as raised:
+        read_declared(Declared, {"name": "a", "loops": [{"label": 1}]}, "flows[2].")
+    assert str(raised.value) == "field flows[2].loops[0].'label' holds 1, not str"
+    with pytest.raises(MalformedReport) as raised:
+        read_declared(Declared, {"name": "a", "oops": 1}, "flows[2].")
+    assert str(raised.value) == "flows[2]: unknown key(s) 'oops'"
+    with pytest.raises(MalformedReport) as raised:
+        read_declared(Declared, 3, "flows[2].")
+    assert str(raised.value) == "flows[2] is not an object"

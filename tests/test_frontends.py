@@ -273,6 +273,58 @@ def test_lower_intel_reads_the_manifest_through_its_typed_loader(tmp_path):
         lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
 
 
+TWO_ARRAY_SOURCE = """\
+void top(int a[64]) {
+  // HLSFORGE_LABEL: buf
+  static int buf[64];
+  // HLSFORGE_LABEL: acc
+  static short acc[32];
+}
+"""
+TWO_ARRAY_TEMPLATE = """\
+mem_opt,2,1
+0,buf,,array_partition,[cyclic-2]
+1,acc,,array_partition,[cyclic-4]
+set_directive_array_partition -type [style] -factor [factor] top/[name]
+"""
+
+
+def counted_manifest_loads(monkeypatch) -> list:
+    """The design roots MockManifest.load is called with, from now on."""
+    loads = []
+    load = frontends.MockManifest.load
+    monkeypatch.setattr(frontends.MockManifest, "load",
+                        staticmethod(lambda root: loads.append(root) or load(root)))
+    return loads
+
+
+def test_lower_intel_loads_the_manifest_once_for_all_partitions_of_a_point(tmp_path,
+                                                                          monkeypatch):
+    root = tmp_path / "ds"
+    manifest = dict(SIMPLE_MANIFEST, arrays=[{"label": "buf", "depth": 64, "elem_bytes": 4},
+                                             {"label": "acc", "depth": 32, "elem_bytes": 2}])
+    make_design(root, "d", template=TWO_ARRAY_TEMPLATE, manifest=manifest,
+                source=TWO_ARRAY_SOURCE)
+    design = load_dataset(root).designs[0]
+    [assignment] = iter_assignments(enumerate_design_space(parse_opt_template(TWO_ARRAY_TEMPLATE)))
+    loads = counted_manifest_loads(monkeypatch)
+    lowered = lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
+    assert loads == [design.source_dir]
+    source = (lowered.dir / "d.c").read_text()
+    assert "hls_bankwidth(4)" in source and "hls_bankwidth(2)" in source
+
+
+def test_lower_intel_reads_no_manifest_without_a_partition(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    make_design(root, "d", manifest=None)
+    (root / "d" / "mock_manifest.json").write_text("{broken")
+    design = load_dataset(root).designs[0]
+    assignment = next(iter_assignments(simple_space()))
+    loads = counted_manifest_loads(monkeypatch)
+    lower_intel(design, assignment, WorkspaceLayout(tmp_path / "work"))
+    assert loads == []
+
+
 def test_lower_intel_missing_anchor_raises(tmp_path):
     source = "void top(int *a) {\n  for (int i = 0; i < 4; i++) a[i] = i;\n}\n"
     root = tmp_path / "ds"

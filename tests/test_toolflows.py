@@ -165,6 +165,13 @@ def test_a_manifest_int_reads_as_a_float_where_a_float_is_due(tmp_path):
     assert clock == 8.0 and isinstance(clock, float)
 
 
+def test_a_manifest_entry_key_no_field_declares_is_ignored(tmp_path):
+    loops = [{**loop, "note": "inner"} for loop in SIMPLE_MANIFEST["loops"]]
+    arrays = [{**SIMPLE_MANIFEST["arrays"][0], "kind": "ram"}]
+    make_design(tmp_path, "d", manifest={**SIMPLE_MANIFEST, "loops": loops, "arrays": arrays})
+    assert MockManifest.load(tmp_path / "d") == manifest_from(SIMPLE_MANIFEST)
+
+
 def manifest_from(payload: dict) -> MockManifest:
     return MockManifest(
         loops=tuple(LoopSpec(**l) for l in payload["loops"]),
