@@ -20,19 +20,19 @@ import tempfile
 import zipfile
 import zlib
 from contextlib import suppress
-from dataclasses import asdict, dataclass, make_dataclass
+from dataclasses import asdict, dataclass, field, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
 
 from .core import (  # the report paths live in core, which the set-up path loads
     CSYNTH_REPORT_RELPATH,
-    DESIGN_DATA_FILENAME,
     IMPL_REPORT_RELPATH,
     SOURCE_SUFFIXES,
-    json_fits,
+    AssignmentEntry,
     list_post_frontend,
     read_declared,
+    read_design_record,
     read_json,
     replace_on_success,
     walk_files,
@@ -254,26 +254,23 @@ def read_standard_json(design_dir: Path) -> MetricsBundle:
                             for attr, cls, _, filename in _SECTIONS})
 
 
-def _assignment_columns(entries: list[dict]) -> dict:
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise MalformedReport("assignment must be a list of objects")
+def _assignment_columns(entries: tuple[AssignmentEntry, ...]) -> dict:
     parts = []
     max_unroll = 1
     n_unrolled = 0
     n_partitioned = 0
     for e in entries:
-        choice = e.get("choice", "")
-        shown = f"={choice}" if choice else ""
-        parts.append(f"{e['group']}/{e['label']}#{e['line_index']}:{e['directive']}{shown}")
-        if e["directive"] == "unroll":
+        shown = f"={e.choice}" if e.choice else ""
+        parts.append(f"{e.group}/{e.label}#{e.line_index}:{e.directive}{shown}")
+        if e.directive == "unroll":
             try:
-                factor = int(choice)
+                factor = int(e.choice)
             except ValueError:
                 factor = 1
             max_unroll = max(max_unroll, factor)
             if factor > 1:
                 n_unrolled += 1
-        elif e["directive"] == "array_partition":
+        elif e.directive == "array_partition":
             n_partitioned += 1
     return {"assignment_summary": ";".join(parts), "n_directives": len(entries),
             "max_unroll": max_unroll, "n_unrolled": n_unrolled, "n_partitioned": n_partitioned}
@@ -282,18 +279,14 @@ def _assignment_columns(entries: list[dict]) -> dict:
 def _design_columns(design_dir: Path) -> dict:
     """Identity, vendor and assignment columns from data_design.json.
 
-    When the file is absent or unreadable, the id and base name come from the
-    directory name and the other columns stay null.
+    When the file is absent or unreadable (core.read_design_record), the id and
+    base name come from the directory name and the other columns stay null.
     """
-    try:
-        meta = read_json(design_dir / DESIGN_DATA_FILENAME)
-        if meta is not None:
-            return {"design_id": meta.get("id", design_dir.name),
-                    "base_name": meta.get("base_name", design_dir.name.split("__")[0]),
-                    "vendor": meta.get("vendor"),
-                    **_assignment_columns(meta.get("assignment", []))}
-    except (MalformedReport, KeyError, TypeError):
-        pass
+    with suppress(MalformedReport):
+        record = read_design_record(design_dir)
+        if record is not None:
+            return {"design_id": record.id, "base_name": record.base_name,
+                    "vendor": record.vendor, **_assignment_columns(record.assignment)}
     return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
 
 
@@ -358,14 +351,6 @@ def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> P
     return path
 
 
-def _coerce(column: str, value):
-    """An imported cell as its column's type; an integer column takes any number."""
-    if value is None or value == "":
-        return None
-    kind = COLUMN_TYPES[column]
-    return int(float(value)) if kind is int else kind(value)
-
-
 def _csv_value(column: str, text: str | None):
     """A CSV cell read back as export_tabular wrote it: an int column takes only
     an integer literal."""
@@ -374,46 +359,63 @@ def _csv_value(column: str, text: str | None):
     return COLUMN_TYPES[column](text)
 
 
-def _jsonl_value(column: str, value):
-    """A JSONL value read back as export_tabular wrote it: only a value of the
-    column's JSON type (core.json_fits) is taken."""
-    if value is None or value == "":
-        return None
-    kind = COLUMN_TYPES[column]
-    if not json_fits(value, kind):
-        raise ValueError(f"column {column!r} holds {value!r}, not {kind.__name__}")
-    return float(value) if kind is float else value
-
-
 def load_table(path: Path) -> AggregatedTable:
     """Read back a csv/jsonl export (column types restored from the schema).
 
-    Raises SourceUnreadable when the file is absent, and MalformedReport naming
-    the file when a line or cell cannot be read back as export_tabular writes
-    it (an int cell "2.5", a JSONL ``true`` in an int column, ...).
+    A JSONL line is read as AggregatedRow declares (core.read_declared), its
+    schema_version and any other key no column names ignored. Raises
+    SourceUnreadable when the file is absent, and MalformedReport naming the
+    file when a line or cell cannot be read back as export_tabular writes it (an
+    int cell "2.5", a JSONL ``true`` in an int column, ...).
     """
     path = Path(path)
     rows = []
     try:
         with path.open(newline="") as handle:
             if path.suffix == ".jsonl":
-                records, value = map(json.loads, filter(str.strip, handle)), _jsonl_value
+                for line in filter(str.strip, handle):
+                    rows.append(_share_strings(
+                        read_declared(AggregatedRow, json.loads(line), ignore_unknown=True)))
             else:
-                records, value = csv.DictReader(handle), _csv_value
-            for record in records:
-                row = AggregatedRow()
-                for name in COLUMNS:
-                    setattr(row, name, value(name, record.get(name)))
-                rows.append(_share_strings(row))
+                for record in csv.DictReader(handle):
+                    row = AggregatedRow()
+                    for name in COLUMNS:
+                        setattr(row, name, _csv_value(name, record.get(name)))
+                    rows.append(_share_strings(row))
     except FileNotFoundError as exc:
         raise SourceUnreadable(f"table file {path} does not exist") from exc
     # undecodable bytes, invalid JSON or CSV, a line that is no object, a bad cell
-    except (ValueError, ArithmeticError, AttributeError, TypeError, csv.Error) as exc:
+    except (ValueError, ArithmeticError, TypeError, csv.Error, MalformedReport) as exc:
         raise MalformedReport(f"table file {path}: {exc}") from exc
     return AggregatedTable(rows)
 
 
 _UNIT_RULES = ("identity", "mhz_to_ns", "ns_to_mhz")
+
+
+@dataclass(frozen=True)
+class MappingSpec:
+    """How import_external_dataset maps an external results file onto the table:
+    source column -> table column, and a unit rule per table column."""
+
+    name: str
+    format: str  # "csv" or "json"
+    columns: dict[str, str]
+    units: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"unknown source format {self.format!r}")
+        if not self.columns:
+            raise ValueError("columns must be a non-empty object of src -> dst")
+        for src, dst in self.columns.items():
+            if dst not in COLUMNS:
+                raise ValueError(f"unknown target column {dst!r} (from source {src!r})")
+        for dst, rule in self.units.items():
+            if dst not in COLUMNS:
+                raise ValueError(f"units entry names unknown column {dst!r}")
+            if rule not in _UNIT_RULES:
+                raise ValueError(f"unknown unit rule {rule!r} for column {dst!r}")
 
 
 def _apply_unit(rule: str, value: float) -> float:
@@ -428,82 +430,61 @@ def _apply_unit(rule: str, value: float) -> float:
 def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
     """Map an external csv/json results file onto the standard table schema.
 
-    Nothing is fabricated: only mapped columns become non-null, rows whose
-    mapped cells fail to parse are dropped (and counted), and every row's
-    dataset is tagged external:<name>.
+    mapping_spec is read as MappingSpec declares (core.read_declared), a key no
+    field declares ignored; a spec it refuses raises MalformedSpec. Nothing is
+    fabricated: only mapped columns become non-null, rows whose mapped cells
+    fail to parse are dropped (and counted), and every row's dataset is tagged
+    external:<name>.
     """
-    if not isinstance(mapping_spec, dict):
-        raise MalformedSpec("mapping spec must be a JSON object")
-    for required in ("name", "format", "columns"):
-        if required not in mapping_spec:
-            raise MalformedSpec(f"mapping spec lacks required field {required!r}")
-    name = mapping_spec["name"]
-    fmt = mapping_spec["format"]
-    columns = mapping_spec["columns"]
-    units = mapping_spec.get("units", {})
-    if fmt not in ("csv", "json"):
-        raise MalformedSpec(f"unknown source format {fmt!r}")
-    if not isinstance(columns, dict) or not columns:
-        raise MalformedSpec("columns must be a non-empty object of src -> dst")
-    for src, dst in columns.items():
-        if dst not in COLUMNS:
-            raise MalformedSpec(f"unknown target column {dst!r} (from source {src!r})")
-    for dst, rule in units.items():
-        if dst not in COLUMNS:
-            raise MalformedSpec(f"units entry names unknown column {dst!r}")
-        if rule not in _UNIT_RULES:
-            raise MalformedSpec(f"unknown unit rule {rule!r} for column {dst!r}")
+    try:
+        spec = read_declared(MappingSpec, mapping_spec, ignore_unknown=True)
+    except (MissingField, MalformedReport, ValueError) as exc:
+        raise MalformedSpec(f"mapping spec: {exc}") from exc
 
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SourceUnreadable(f"cannot read {path}: {exc}") from exc
-    if fmt == "csv":
-        with io.StringIO(text) as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            for src in columns:
-                if src not in header:
-                    raise MalformedSpec(f"source column {src!r} not present in {path.name}")
-            records = list(reader)
+    if spec.format == "csv":
+        reader = csv.DictReader(io.StringIO(text))
+        records = list(reader)
+        header = reader.fieldnames or []
     else:
         try:
-            payload = json.loads(text)
+            records = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SourceUnreadable(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, list):
+        if not isinstance(records, list):
             raise MalformedSpec("json source must be an array of objects")
-        records = payload
-        if records:
-            for src in columns:
-                if src not in records[0]:
-                    raise MalformedSpec(f"source column {src!r} not present in {path.name}")
+        header = records[0] if records else spec.columns  # no record: nothing to miss
+    for src in spec.columns:
+        if src not in header:
+            raise MalformedSpec(f"source column {src!r} not present in {path.name}")
 
     rows = []
     n_dropped = 0
     for i, record in enumerate(records):
-        row = AggregatedRow(dataset=f"external:{name}")
+        row = AggregatedRow()
         try:
-            for src, dst in columns.items():
+            for src, dst in spec.columns.items():
                 raw = record.get(src)
                 if raw is None or raw == "":
                     setattr(row, dst, None)
                     continue
                 kind = COLUMN_TYPES[dst]
-                if dst in units and kind is not str:
-                    converted = _apply_unit(units[dst], float(raw))
+                if dst in spec.units and kind is not str:
+                    converted = _apply_unit(spec.units[dst], float(raw))
                     value = int(round(converted)) if kind is int else converted
-                else:
-                    value = _coerce(dst, raw)
+                else:  # an integer column takes any number
+                    value = int(float(raw)) if kind is int else kind(raw)
                 setattr(row, dst, value)
         except (ValueError, TypeError):
             n_dropped += 1
             continue
         if row.design_id is None:
-            row.design_id = f"{name}_{i:06d}"
-        if row.dataset != f"external:{name}":
-            row.dataset = f"external:{name}"
+            row.design_id = f"{spec.name}_{i:06d}"
+        row.dataset = f"external:{spec.name}"  # a mapped dataset column included
         rows.append(row)
     return ImportResult(rows, n_dropped)
 

@@ -16,7 +16,7 @@ import os
 import re
 from collections.abc import Collection, Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -97,6 +97,27 @@ class ConcreteDesign:
     base_name: str
     dir: Path
     vendor: str
+
+
+@dataclass(frozen=True)
+class AssignmentEntry:
+    """One applied directive of a lowered design; a fixed directive has an empty choice."""
+
+    group: str
+    label: str
+    line_index: int
+    directive: str
+    choice: str
+
+
+@dataclass(frozen=True)
+class DesignRecord:
+    """A lowered design's data_design.json, its keys in field order: what the design is."""
+
+    base_name: str
+    id: str
+    vendor: str
+    assignment: tuple[AssignmentEntry, ...]
 
 
 @dataclass
@@ -391,27 +412,41 @@ def replace_on_success(path: Path) -> Iterator[Path]:
         raise
 
 
+def read_design_record(root: Path) -> DesignRecord | None:
+    """The data_design.json in root, read as DesignRecord declares (read_declared), or
+    None when there is no such file. Raises MalformedReport naming the file for bad
+    bytes or JSON, or a key absent, unknown or of the wrong JSON type."""
+    path = Path(root) / DESIGN_DATA_FILENAME
+    payload = read_json(path)
+    if payload is None:
+        return None
+    try:
+        return read_declared(DesignRecord, payload)
+    except (MissingField, MalformedReport) as exc:
+        raise MalformedReport(f"{path}: {exc}") from exc
+
+
+def write_design_record(root: Path, record: DesignRecord) -> Path:
+    """Write record as root's data_design.json."""
+    return write_json(Path(root) / DESIGN_DATA_FILENAME, asdict(record))
+
+
 def load_post_frontend(work_dir: Path) -> DatasetCollection:
     """Rebuild a collection from <work_dir>/*__post_frontend trees.
 
     Directories with a data_design.json come back as ConcreteDesign (without
     the in-memory assignment); anything else is a pass-through AbstractDesign.
-    A data_design.json that is not an object with an id, base_name and vendor
-    raises MalformedReport.
+    A data_design.json read_design_record refuses raises its MalformedReport.
     """
     collection: DatasetCollection = {}
     for name, subs in list_post_frontend(work_dir).items():
         designs = []
         for sub in subs:
-            meta = read_json(sub / DESIGN_DATA_FILENAME)
-            if meta is None:
+            record = read_design_record(sub)
+            if record is None:
                 designs.append(AbstractDesign(sub.name, name, sub, list_design_files(sub)))
-                continue
-            try:
-                designs.append(ConcreteDesign(id=meta["id"], base_name=meta["base_name"],
-                                              dir=sub, vendor=meta["vendor"]))
-            except KeyError as exc:
-                raise MalformedReport(f"{sub / DESIGN_DATA_FILENAME} lacks {exc}") from exc
+            else:
+                designs.append(ConcreteDesign(record.id, record.base_name, sub, record.vendor))
         if designs:
             collection[name] = DesignDataset(name, designs)
     return collection

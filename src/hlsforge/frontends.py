@@ -3,13 +3,8 @@
 The xilinx path renders the assignment to an opt.tcl next to the copied
 sources. The intel path injects pragma/attribute annotations into the sources
 at anchor comments of the form ``// HLSFORGE_LABEL: <label>``. Both paths
-write a vendor-independent data_design.json describing the assignment, one
-entry per applied directive:
-
-    {"base_name": ..., "id": ..., "vendor": ...,
-     "assignment": [{"group", "label", "line_index", "directive", "choice"}]}
-
-Fixed directives carry an empty choice. Design ids hash the canonical
+write a vendor-independent data_design.json, whose format core.DesignRecord
+declares: one entry per applied directive. Design ids hash the canonical
 rendering, so the same assignment lowers to the same id for either vendor. An
 id keeps only 8 hex digits, so two assignments can share one; the second is
 refused as an IdCollision and never overwrites the first.
@@ -25,15 +20,16 @@ from pathlib import Path
 
 from .core import (
     ANCHOR_RE,
-    DESIGN_DATA_FILENAME,
     MANIFEST_FILENAME,
     OPT_RENDERED_FILENAME,
     OPT_TEMPLATE_FILENAME,
     SOURCE_SUFFIXES,
     AbstractDesign,
+    AssignmentEntry,
     ConcreteDesign,
     DatasetCollection,
     DesignDataset,
+    DesignRecord,
     FrontendConfig,
     WorkspaceLayout,
     concrete_design_id,
@@ -41,8 +37,9 @@ from .core import (
     design_identity,
     list_design_files,
     local_workers,
-    read_json,
+    read_design_record,
     sha256,
+    write_design_record,
     write_json,
 )
 from .errors import (
@@ -127,15 +124,15 @@ def sample_assignments(space: DesignSpace, k: int, seed: int) -> list[DirectiveA
     return [assignment_at(space, index) for index in chosen]
 
 
-def _assignment_entries(assignment: DirectiveAssignment) -> list[dict]:
+def _assignment_entries(assignment: DirectiveAssignment) -> tuple[AssignmentEntry, ...]:
     entries = []
     for sel in assignment.canonicalized().selections:
         if sel.fixed_directive:
-            entries.append({"group": sel.group, "label": sel.label, "line_index": sel.line_index,
-                            "directive": sel.fixed_directive, "choice": ""})
-        entries.append({"group": sel.group, "label": sel.label, "line_index": sel.line_index,
-                        "directive": sel.param_kind, "choice": sel.choice})
-    return entries
+            entries.append(AssignmentEntry(sel.group, sel.label, sel.line_index,
+                                           sel.fixed_directive, ""))
+        entries.append(AssignmentEntry(sel.group, sel.label, sel.line_index, sel.param_kind,
+                                       sel.choice))
+    return tuple(entries)
 
 
 def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> None:
@@ -144,51 +141,41 @@ def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> Non
     shutil.copytree(src_dir, out_dir, ignore=shutil.ignore_patterns(*skip) if skip else None)
 
 
-def _write_design_data(out_dir: Path, base_name: str, design_id: str, vendor: str,
-                       entries: list[dict]) -> None:
-    write_json(out_dir / DESIGN_DATA_FILENAME, {
-        "base_name": base_name,
-        "id": design_id,
-        "vendor": vendor,
-        "assignment": entries,
-    })
-
-
 def _out_dir(layout: WorkspaceLayout, design: AbstractDesign, design_id: str) -> Path:
     return layout.post_frontend_dir(design.dataset_name) / design_id
 
 
 def _lowering_copy(design: AbstractDesign, assignment: DirectiveAssignment,
-                   layout: WorkspaceLayout) -> tuple[str, Path, list[dict]]:
-    """The design's id, a fresh copy of its sources minus the template, and the
-    assignment's data_design.json entries.
+                   layout: WorkspaceLayout, vendor: str) -> tuple[DesignRecord, Path]:
+    """The design's data_design.json record and a fresh copy of its sources minus
+    the template.
 
     Raises IdCollision, before touching anything, when the id's directory holds
     a data_design.json with a different assignment.
     """
     if not design.frontend_ready:
         raise MissingTemplate(f"design {design.name!r} has no {OPT_TEMPLATE_FILENAME}")
-    design_id = concrete_design_id(design.name, assignment)
-    out_dir = _out_dir(layout, design, design_id)
-    entries = _assignment_entries(assignment)
+    record = DesignRecord(design.name, concrete_design_id(design.name, assignment), vendor,
+                          _assignment_entries(assignment))
+    out_dir = _out_dir(layout, design, record.id)
     try:
-        held = read_json(out_dir / DESIGN_DATA_FILENAME) or {}
+        held = read_design_record(out_dir)
     except MalformedReport:  # nothing readable to keep
-        held = {}
-    if held.get("assignment", entries) != entries:
+        held = None
+    if held is not None and held.assignment != record.assignment:
         raise IdCollision(f"{out_dir} already holds another assignment of {design.name!r}")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
-    return design_id, out_dir, entries
+    return record, out_dir
 
 
 def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
                  layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources (minus the template), write canonical opt.tcl and design data."""
-    design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
+    record, out_dir = _lowering_copy(design, assignment, layout, "xilinx")
     (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
-    _write_design_data(out_dir, design.name, design_id, "xilinx", entries)
-    return ConcreteDesign(design_id, design.name, out_dir, "xilinx")
+    write_design_record(out_dir, record)
+    return ConcreteDesign(record.id, design.name, out_dir, "xilinx")
 
 
 def map_directive_to_intel(line: DirectiveLine, choice: str,
@@ -218,7 +205,7 @@ def map_directive_to_intel(line: DirectiveLine, choice: str,
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
                 layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources and inject annotations after each label's anchor comment."""
-    design_id, out_dir, entries = _lowering_copy(design, assignment, layout)
+    record, out_dir = _lowering_copy(design, assignment, layout, "intel")
 
     by_label: dict[str, list[IntelAnnotation]] = {}
     provenance: list[dict] = []
@@ -268,9 +255,9 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         missing = ", ".join(sorted(pending))
         raise AnchorNotFound(f"no anchor comment found for label(s): {missing}")
 
-    _write_design_data(out_dir, design.name, design_id, "intel", entries)
-    write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
-    return ConcreteDesign(design_id, design.name, out_dir, "intel")
+    write_design_record(out_dir, record)
+    write_json(out_dir / PROVENANCE_FILENAME, {"design_id": record.id, "entries": provenance})
+    return ConcreteDesign(record.id, design.name, out_dir, "intel")
 
 
 def _lower(design: AbstractDesign, assignment: DirectiveAssignment, layout: WorkspaceLayout,

@@ -108,12 +108,25 @@ class MockCostConstants:
                 raise ValueError(f"{constant.name} must be finite, got {value!r}")
 
 
+def _check_manifest_numbers(spec) -> None:
+    """ValueError naming the first field of the manifest dataclass spec that holds a
+    negative int, or a float that is not finite and > 0 (json.load gives NaN too)."""
+    for number in fields(spec):
+        value = getattr(spec, number.name)
+        if type(value) is int and value < 0:
+            raise ValueError(f"{number.name} must be >= 0, got {value}")
+        if type(value) is float and not 0 < value <= sys.float_info.max:
+            raise ValueError(f"{number.name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     label: str
     trip_count: int
     body_ops: int
     mult_ops: int = 0
+
+    __post_init__ = _check_manifest_numbers
 
 
 @dataclass(frozen=True)
@@ -122,18 +135,23 @@ class ArraySpec:
     depth: int
     elem_bytes: int
 
+    __post_init__ = _check_manifest_numbers
+
 
 @dataclass(frozen=True)
 class MockManifest:
     """Workload description the mock cost model prices, read by its declaration
     (core.read_declared): every value must have its field's JSON type, and a key no
-    field declares, such as ``top``, is ignored."""
+    field declares, such as ``top``, is ignored. Every int must be >= 0, and the
+    clock target finite and > 0."""
 
     loops: tuple[LoopSpec, ...]
     base_lut: int
     base_ff: int
     arrays: tuple[ArraySpec, ...] = ()
     clock_target_ns: float = 10.0
+
+    __post_init__ = _check_manifest_numbers
 
     @classmethod
     def load(cls, design_root: Path) -> "MockManifest":
@@ -146,7 +164,7 @@ class MockManifest:
             raise ManifestMissing(f"{path} does not exist")
         try:
             return read_declared(cls, payload, ignore_unknown=True)
-        except (MissingField, MalformedReport) as exc:
+        except (MissingField, MalformedReport, ValueError) as exc:
             raise ManifestMissing(f"{path}: {exc}") from exc
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -299,6 +300,14 @@ def test_import_spec_validation(tmp_path):
     with pytest.raises(MalformedSpec):
         import_external_dataset({"name": "x", "format": "csv", "columns": {"a": "hls_lut"},
                                  "units": {"hls_lut": "parsecs"}}, src)
+    with pytest.raises(MalformedSpec, match=re.escape("field 'units' holds [1], not ")):
+        import_external_dataset({"name": "x", "format": "csv", "columns": {"a": "hls_lut"},
+                                 "units": [1]}, src)
+    with pytest.raises(MalformedSpec, match=re.escape("field 'name' holds ['x'], not str")):
+        import_external_dataset({"name": ["x"], "format": "csv", "columns": {"a": "hls_lut"}},
+                                src)
+    with pytest.raises(MalformedSpec, match="^mapping spec: not an object$"):
+        import_external_dataset([1], src)
     with pytest.raises(SourceUnreadable):
         import_external_dataset({"name": "x", "format": "csv", "columns": {"a": "hls_lut"}},
                                 tmp_path / "missing.csv")

@@ -266,6 +266,7 @@ GOOD_META = {"id": "d__12345678", "base_name": "d", "vendor": "xilinx",
 HLS = HlsSynthMetrics(10, 10, 20, None, 3.0, 100, 80, 1, 2, 0)
 IMPL = ImplMetrics(6.5, 0.1, 90, 72, 1, 2, 0.6)
 UNDECODABLE = b"\xff\xfe\x00"
+MISTYPED = json.dumps({**GOOD_META, "id": 5, "base_name": ["d"], "vendor": 7}).encode()
 
 
 def built_tree(work, meta=GOOD_META):
@@ -283,13 +284,14 @@ def built_tree(work, meta=GOOD_META):
     ("data_design.json", b"[1, 2]"),
     ("data_design.json", b'"x"'),
     ("data_design.json", json.dumps({**GOOD_META, "assignment": [1]}).encode()),
+    ("data_design.json", MISTYPED),
     ("data_hls.json", b'"str"'),
     ("data_hls.json", UNDECODABLE),
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "lut": "abc"}).encode()),
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "dsp": True}).encode()),
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "ff": 2.5}).encode()),
-], ids=["undecodable", "list", "string", "assignment-entry", "hls-string", "hls-undecodable",
-        "hls-string-value", "hls-bool-value", "hls-float-for-int"])
+], ids=["undecodable", "list", "string", "assignment-entry", "mistyped", "hls-string",
+        "hls-undecodable", "hls-string-value", "hls-bool-value", "hls-float-for-int"])
 def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, payload):
     bad = built_tree(tmp_path / "work")
     (bad / filename).write_bytes(payload)
@@ -306,8 +308,9 @@ def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, p
         assert not row.has_hls and row.has_impl
 
 
-@pytest.mark.parametrize("payload", [UNDECODABLE, b"[1, 2]", b'"x"', b'{"id": "d__12345678"}'],
-                         ids=["undecodable", "list", "string", "no-base-name"])
+@pytest.mark.parametrize("payload", [UNDECODABLE, b"[1, 2]", b'"x"', b'{"id": "d__12345678"}',
+                                     MISTYPED],
+                         ids=["undecodable", "list", "string", "no-base-name", "mistyped"])
 def test_build_reports_a_malformed_design_file(tmp_path, capsys, payload):
     bad = built_tree(tmp_path / "work")
     (bad / "data_design.json").write_bytes(payload)

@@ -599,3 +599,29 @@ def test_ids_and_seeds_are_the_sha256_digests_of_hashlib():
         for assignment in iter_assignments(space):
             digest = hashlib.sha256(canonical_text(assignment).encode()).hexdigest()
             assert concrete_design_id(design.name, assignment) == f"{design.name}__{digest[:8]}"
+
+
+# sha256 of the JSON files lowering the bundled gemm at space index 42 writes (unroll
+# 2, 2 and 4, and k1's fixed pipeline), recorded before data_design.json was declared
+# as core.DesignRecord
+PINNED_LOWERING = {
+    ("xilinx", "data_design.json"):
+        "2a6e7bffe6ab043c52eb77ba3cd0bf41b496374f62b475acb546d438af592090",
+    ("intel", "data_design.json"):
+        "dbd36b51c5e6627ebdc19503d1ec7ee77d4a4bc0f1a2219a10970ec817f00c8e",
+    ("intel", "data_intel_provenance.json"):
+        "c391cf69c06f8a40735a63cae8d84cc5632226ebb048bd889854b680e0732451",
+}
+
+
+@pytest.mark.parametrize("vendor, filename", list(PINNED_LOWERING),
+                         ids=["-".join(key) for key in PINNED_LOWERING])
+def test_lowering_json_bytes_are_pinned(tmp_path, vendor, filename):
+    gemm = next(d for d in load_dataset(bundled_designs_dir()).designs if d.name == "gemm")
+    space = enumerate_design_space(parse_opt_template(
+        (gemm.source_dir / "opt_template.tcl").read_text()))
+    lower = lower_intel if vendor == "intel" else lower_xilinx
+    concrete = lower(gemm, assignment_at(space, 42), WorkspaceLayout(tmp_path))
+    assert concrete.id == "gemm__eed24ed1"
+    digest = hashlib.sha256((concrete.dir / filename).read_bytes()).hexdigest()
+    assert digest == PINNED_LOWERING[vendor, filename]

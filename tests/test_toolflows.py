@@ -172,6 +172,37 @@ def test_a_manifest_entry_key_no_field_declares_is_ignored(tmp_path):
     assert MockManifest.load(tmp_path / "d") == manifest_from(SIMPLE_MANIFEST)
 
 
+LOOP_2 = SIMPLE_MANIFEST["loops"][1]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"clock_target_ns": math.inf}, "clock_target_ns must be finite and > 0, got inf"),
+    ({"clock_target_ns": math.nan}, "clock_target_ns must be finite and > 0, got nan"),
+    ({"clock_target_ns": 0}, "clock_target_ns must be finite and > 0, got 0.0"),
+    ({"base_lut": -100}, "base_lut must be >= 0, got -100"),
+    ({"loops": [{"label": "lp1", "trip_count": -8, "body_ops": -2}, LOOP_2]},
+     "loops[0].trip_count must be >= 0, got -8"),
+    ({"loops": [{"label": "lp1", "trip_count": 8, "body_ops": 2, "mult_ops": -1}, LOOP_2]},
+     "loops[0].mult_ops must be >= 0, got -1"),
+    ({"arrays": [{"label": "buf", "depth": 64, "elem_bytes": -4}]},
+     "arrays[0].elem_bytes must be >= 0, got -4"),
+], ids=["clock-inf", "clock-nan", "clock-zero", "base-lut", "trip-count", "mult-ops",
+        "elem-bytes"])
+def test_a_manifest_number_out_of_range_fails_both_mock_flows(tmp_path, change, message):
+    [design, *_] = lowered_design(tmp_path)
+    assert run_flow(mock_synth_flow(), design).status == STATUS_OK
+    manifest = design.dir / "mock_manifest.json"
+    manifest.write_text(json.dumps({**SIMPLE_MANIFEST, **change}))
+    with pytest.raises(ManifestMissing, match=re.escape(f"{manifest}: {message}")):
+        MockManifest.load(design.dir)
+    for flow, report in ((mock_impl_flow(), IMPL_REPORT_RELPATH),
+                         (mock_synth_flow(), CSYNTH_REPORT_RELPATH)):
+        outcome = run_flow(flow, design)
+        assert outcome.status == STATUS_FAILED
+        assert message in outcome.log_path.read_text()
+        assert not (design.dir / report).exists()
+
+
 def manifest_from(payload: dict) -> MockManifest:
     return MockManifest(
         loops=tuple(LoopSpec(**l) for l in payload["loops"]),
