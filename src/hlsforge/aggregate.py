@@ -283,8 +283,7 @@ def _design_columns(design_dir: Path) -> dict:
     base name come from the directory name and the other columns stay null.
     """
     with suppress(MalformedReport):
-        record = read_design_record(design_dir)
-        if record is not None:
+        if (record := read_design_record(design_dir)) is not None:
             return {"design_id": record.id, "base_name": record.base_name,
                     "vendor": record.vendor, **_assignment_columns(record.assignment)}
     return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
@@ -324,14 +323,6 @@ def aggregate_collection(work_dir: Path) -> AggregatedTable:
                             for sub in subs])
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> Path:
     """Write the table as csv or jsonl, row by row; repeated exports are
     byte-identical, and path changes only once the whole table is written."""
@@ -343,7 +334,8 @@ def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> P
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(COLUMNS)
             for row in table.rows:
-                writer.writerow([_cell(getattr(row, name)) for name in COLUMNS])
+                # csv writes None as an empty cell, and a float as its repr
+                writer.writerow([getattr(row, name) for name in COLUMNS])
         else:
             for row in table.rows:
                 record = {"schema_version": SCHEMA_VERSION, **row.as_dict()}

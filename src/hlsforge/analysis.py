@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .errors import DegenerateTruth, EmptyInput, EmptyValues, LengthMismatch, NoPairs
@@ -69,12 +70,7 @@ def _exact_p(ranks: list[float], w: float) -> float:
 def _normal_p(ranks: list[float], w: float) -> float:
     n = len(ranks)
     mean = n * (n + 1) / 4
-    tie_sum = 0.0
-    seen: dict[float, int] = {}
-    for rank in ranks:
-        seen[rank] = seen.get(rank, 0) + 1
-    for count in seen.values():
-        tie_sum += count ** 3 - count
+    tie_sum = sum(count ** 3 - count for count in Counter(ranks).values())
     variance = n * (n + 1) * (2 * n + 1) / 24 - tie_sum / 48
     if variance <= 0:
         return 1.0

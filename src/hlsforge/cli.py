@@ -24,16 +24,19 @@ from collections import Counter
 from pathlib import Path
 
 from .core import (
+    AT_LEAST_1,
     POST_FRONTEND_SUFFIX,
     STRATEGIES,
     DatasetCollection,
     FrontendConfig,
     WorkspaceLayout,
+    check_ranges,
     design_identity,
     load_dataset,
     load_post_frontend,
     local_workers,
     plain_name,
+    ranged,
     read_declared,
     read_json,
     write_json,
@@ -76,14 +79,13 @@ class RunConfig:
 class _Executor:
     strategy: str = "fine_grained"
     # this module's local_workers, looked up each time a config is read
-    n_workers: int = dataclasses.field(default_factory=lambda: local_workers())
+    n_workers: int = ranged(AT_LEAST_1, default_factory=lambda: local_workers())
     pin_cores: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be {' or '.join(STRATEGIES)}")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be a positive integer")
+        check_ranges(self)
 
 
 @dataclasses.dataclass

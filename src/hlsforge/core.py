@@ -12,13 +12,15 @@ import functools
 import importlib
 import itertools
 import json
+import math
 import os
 import re
+import sys
 from collections.abc import Collection, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import EmptyDataset, MalformedReport, MissingDirectory, MissingField
 from .optdsl import DirectiveAssignment, canonical_text
@@ -52,6 +54,45 @@ ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _JSON_BLOCK_TOKENS = 4096
+
+
+class Range(NamedTuple):
+    """The values a number field takes, declared with the field (ranged): low <= value
+    <= high, which NaN never is. check_ranges names a range by its words."""
+
+    words: str
+    low: float = -math.inf
+    high: float = math.inf
+
+
+# math.ulp(0.0), the least float above 0, bounds "> 0"; past every float is not finite
+FINITE = Range("finite", -sys.float_info.max, sys.float_info.max)
+FINITE_ABOVE_0 = Range("finite and > 0", math.ulp(0.0), sys.float_info.max)
+ABOVE_0 = Range("> 0", math.ulp(0.0))
+AT_LEAST_0 = Range(">= 0", 0)
+AT_LEAST_1 = Range(">= 1", 1)
+
+
+def ranged(*ranges: Range, **options):
+    """dataclasses.field(**options), declaring ranges its value must lie in (check_ranges)."""
+    return field(metadata={"ranges": ranges}, **options)
+
+
+@functools.cache
+def _ranges(cls) -> tuple:
+    """(field name, Range) for each range the fields of the dataclass cls declare, in
+    field order: check_ranges' table, built on the class's first check."""
+    return tuple((spec.name, bound) for spec in fields(cls)
+                 for bound in spec.metadata.get("ranges", ()))
+
+
+def check_ranges(record) -> None:
+    """ValueError naming the first field of the dataclass record, in field order, whose
+    value lies outside a Range it declares: the one range check, each declaring class's
+    __post_init__ (read_declared puts the key path before it)."""
+    for name, (words, low, high) in _ranges(type(record)):
+        if not low <= (value := getattr(record, name)) <= high:
+            raise ValueError(f"{name} must be {words}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +146,11 @@ class AssignmentEntry:
 
     group: str
     label: str
-    line_index: int
+    line_index: int = ranged(AT_LEAST_0)
     directive: str
     choice: str
+
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -415,14 +458,14 @@ def replace_on_success(path: Path) -> Iterator[Path]:
 def read_design_record(root: Path) -> DesignRecord | None:
     """The data_design.json in root, read as DesignRecord declares (read_declared), or
     None when there is no such file. Raises MalformedReport naming the file for bad
-    bytes or JSON, or a key absent, unknown or of the wrong JSON type."""
+    bytes or JSON, a key absent, unknown or of the wrong JSON type, or a number out of
+    its declared range."""
     path = Path(root) / DESIGN_DATA_FILENAME
-    payload = read_json(path)
-    if payload is None:
+    if (payload := read_json(path)) is None:
         return None
     try:
         return read_declared(DesignRecord, payload)
-    except (MissingField, MalformedReport) as exc:
+    except (MissingField, MalformedReport, ValueError) as exc:
         raise MalformedReport(f"{path}: {exc}") from exc
 
 

@@ -67,6 +67,10 @@ class LabelUnknown(HlsForgeError):
     """A directive targets a loop or array label the manifest does not define."""
 
 
+class InvalidFactor(HlsForgeError):
+    """A lowered directive's factor is not an integer >= 1."""
+
+
 class SynthReportMissing(HlsForgeError):
     """Implementation flow ran before any synthesis report was produced."""
 

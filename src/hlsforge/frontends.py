@@ -238,18 +238,13 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         path = out_dir / rel
         lines = path.read_text().splitlines(keepends=True)
         out_lines: list[str] = []
-        changed = False
         for src_line in lines:
             out_lines.append(src_line)
-            match = ANCHOR_RE.search(src_line)
-            if not match:
-                continue
-            label = match.group(1)
-            for ann in pending.pop(label, []):
-                indent = src_line[:len(src_line) - len(src_line.lstrip())].rstrip("\n")
-                out_lines.append(f"{indent}{ann.text}\n")
-                changed = True
-        if changed:
+            if match := ANCHOR_RE.search(src_line):
+                for ann in pending.pop(match.group(1), []):
+                    indent = src_line[:len(src_line) - len(src_line.lstrip())].rstrip("\n")
+                    out_lines.append(f"{indent}{ann.text}\n")
+        if len(out_lines) > len(lines):  # an annotation went in
             path.write_text("".join(out_lines))
     if pending:
         missing = ", ".join(sorted(pending))
@@ -358,14 +353,14 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
         design = base.design
         if not _lowers(design):
             continue
-        try:
+        try:  # a choice the template cannot render fails here, as its id is hashed
             base.space_size, assignments = _sample(design, config)
+            ids = [concrete_design_id(design.name, assignment) for assignment in assignments]
         except Exception as exc:  # per-design isolation: record and move on
             base.error = _failure(exc)
             continue
         claimed: dict = {}  # design id -> canonical selections; ids carry the design name
-        for assignment in assignments:
-            design_id = concrete_design_id(design.name, assignment)
+        for assignment, design_id in zip(assignments, ids):
             selections = assignment.canonicalized().selections
             if _out_dir(layout, design, design_id) in copied:
                 base.collisions.append(_failure(IdCollision(

@@ -23,9 +23,10 @@ is the product of the per-axis alternative counts (1 for an empty template).
 Rendering a selection looks up the first template command containing
 ``set_directive_<kind>`` for each directive kind, fills ``[name]`` with the
 label and the remaining placeholders positionally with the hyphen-split parts
-of the choice token, and emits the fixed directive's command (if any) before
-the parameterized one. The canonical text orders selections by (group, label,
-line index) and is what design ids hash.
+of the choice token (exactly one non-empty part each; a command with no other
+placeholder takes the token as a bare switch), and emits the fixed
+directive's command (if any) before the parameterized one. The canonical text
+orders selections by (group, label, line index) and is what design ids hash.
 """
 
 from __future__ import annotations
@@ -246,24 +247,16 @@ def _find_template(template: OptTemplate, kind: str) -> str:
 
 
 def _fill(command: str, label: str, parts: tuple[str, ...]) -> str:
-    names = []
-    for name in _PLACEHOLDER_RE.findall(command):
-        if name not in names:
-            names.append(name)
-    mapping = {}
-    part_iter = iter(parts)
-    for name in names:
-        if name == "name":
-            mapping[name] = label
-        else:
-            try:
-                mapping[name] = next(part_iter)
-            except StopIteration:
-                raise UnfilledPlaceholder(
-                    f"template {command!r} needs placeholder [{name}] but the choice "
-                    f"supplies only {len(parts)} part(s)") from None
-    filled = command
-    for name, value in mapping.items():
+    """command with [name] filled by label, and each other placeholder, in order of
+    first appearance, by the next part. A command with such placeholders takes exactly
+    one non-empty part for each, or raises UnfilledPlaceholder, so no part is lost; one
+    without takes its choice as a bare switch (pipeline's ``on``)."""
+    names = [name for name in dict.fromkeys(_PLACEHOLDER_RE.findall(command)) if name != "name"]
+    if names and (len(parts) != len(names) or "" in parts):
+        raise UnfilledPlaceholder(f"template {command!r} needs {len(names)} non-empty "
+                                  f"part(s) for {names}, but the choice gives {list(parts)}")
+    filled = command.replace("[name]", label)
+    for name, value in zip(names, parts):
         filled = filled.replace(f"[{name}]", value)
     if "[" in filled or "]" in filled:
         raise UnfilledPlaceholder(f"unresolved placeholder remains in {filled!r}")

@@ -33,21 +33,28 @@ import math
 import os
 import re
 import shutil
-import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .core import (
+    ABOVE_0,
     ANCHOR_RE,
+    AT_LEAST_0,
+    AT_LEAST_1,
     COMPILED_SUFFIXES,
     CSYNTH_REPORT_RELPATH,
+    FINITE,
+    FINITE_ABOVE_0,
     IMPL_REPORT_RELPATH,
     MANIFEST_FILENAME,
     SOURCE_SUFFIXES,
+    Range,
+    check_ranges,
     design_dir,
     design_identity,
     plain_name,
+    ranged,
     read_declared,
     read_json,
     validate_design_files,
@@ -57,6 +64,7 @@ from .core import (
 from .errors import (
     ExecutableNotFound,
     HlsForgeError,
+    InvalidFactor,
     LabelUnknown,
     MalformedReport,
     ManifestMissing,
@@ -86,72 +94,57 @@ MAX_TIMEOUT_S = (2 ** 31 - 1) / 1000
 
 @dataclass(frozen=True)
 class MockCostConstants:
-    """Knobs of the mock cost model; vary them to emulate a tool version bump."""
+    """Knobs of the mock cost model; vary them to emulate a tool version bump. Every
+    number is finite (json.load also gives NaN, Infinity and huge ints)."""
 
     version: str = "mock-2023.1"
-    lut_per_op: int = 25
-    ff_per_op: int = 15
-    bank_bytes: int = 2048
-    clock_base_ns: float = 3.0
-    clock_unroll_ns: float = 0.2
-    impl_scale: float = 0.9
-    wns_lut_coeff: float = 0.1
-    whs_ns: float = 0.1
-    power_base_w: float = 0.5
-    power_lut_w: float = 1e-5
-    power_dsp_w: float = 1e-3
+    lut_per_op: int = ranged(FINITE, AT_LEAST_0, default=25)
+    ff_per_op: int = ranged(FINITE, AT_LEAST_0, default=15)
+    bank_bytes: int = ranged(FINITE, AT_LEAST_1, default=2048)
+    clock_base_ns: float = ranged(FINITE, ABOVE_0, default=3.0)
+    clock_unroll_ns: float = ranged(FINITE, AT_LEAST_0, default=0.2)
+    impl_scale: float = ranged(FINITE, AT_LEAST_0, default=0.9)
+    wns_lut_coeff: float = ranged(FINITE, AT_LEAST_0, default=0.1)
+    whs_ns: float = ranged(FINITE, default=0.1)
+    power_base_w: float = ranged(FINITE, AT_LEAST_0, default=0.5)
+    power_lut_w: float = ranged(FINITE, AT_LEAST_0, default=1e-5)
+    power_dsp_w: float = ranged(FINITE, AT_LEAST_0, default=1e-3)
 
-    def __post_init__(self):
-        for constant in fields(self):  # json.load also gives NaN, Infinity and huge ints
-            value = getattr(self, constant.name)
-            if not isinstance(value, str) and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{constant.name} must be finite, got {value!r}")
-
-
-def _check_manifest_numbers(spec) -> None:
-    """ValueError naming the first field of the manifest dataclass spec that holds a
-    negative int, or a float that is not finite and > 0 (json.load gives NaN too)."""
-    for number in fields(spec):
-        value = getattr(spec, number.name)
-        if type(value) is int and value < 0:
-            raise ValueError(f"{number.name} must be >= 0, got {value}")
-        if type(value) is float and not 0 < value <= sys.float_info.max:
-            raise ValueError(f"{number.name} must be finite and > 0, got {value!r}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class LoopSpec:
     label: str
-    trip_count: int
-    body_ops: int
-    mult_ops: int = 0
+    trip_count: int = ranged(AT_LEAST_0)
+    body_ops: int = ranged(AT_LEAST_1)
+    mult_ops: int = ranged(AT_LEAST_0, default=0)
 
-    __post_init__ = _check_manifest_numbers
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class ArraySpec:
     label: str
-    depth: int
-    elem_bytes: int
+    depth: int = ranged(AT_LEAST_0)
+    elem_bytes: int = ranged(AT_LEAST_0)
 
-    __post_init__ = _check_manifest_numbers
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class MockManifest:
     """Workload description the mock cost model prices, read by its declaration
-    (core.read_declared): every value must have its field's JSON type, and a key no
-    field declares, such as ``top``, is ignored. Every int must be >= 0, and the
-    clock target finite and > 0."""
+    (core.read_declared): every value must have its field's JSON type and lie in its
+    field's range, and a key no field declares, such as ``top``, is ignored."""
 
     loops: tuple[LoopSpec, ...]
-    base_lut: int
-    base_ff: int
+    base_lut: int = ranged(AT_LEAST_0)
+    base_ff: int = ranged(AT_LEAST_0)
     arrays: tuple[ArraySpec, ...] = ()
-    clock_target_ns: float = 10.0
+    clock_target_ns: float = ranged(FINITE_ABOVE_0, default=10.0)
 
-    __post_init__ = _check_manifest_numbers
+    __post_init__ = check_ranges
 
     @classmethod
     def load(cls, design_root: Path) -> "MockManifest":
@@ -250,12 +243,10 @@ class FlowEntry:
     the fields of a subclass (FLOW_ENTRIES), with their JSON types and defaults."""
 
     type: str
-    timeout_s: float = DEFAULT_TIMEOUT_S
+    timeout_s: float = ranged(Range(f"positive and at most {MAX_TIMEOUT_S}", math.ulp(0.0),
+                                    MAX_TIMEOUT_S), default=DEFAULT_TIMEOUT_S)
 
-    def __post_init__(self):
-        if not 0 < self.timeout_s <= MAX_TIMEOUT_S:  # false for NaN as well
-            raise ValueError(f"timeout_s must be positive and at most {MAX_TIMEOUT_S}, got "
-                             f"{self.timeout_s!r}")
+    __post_init__ = check_ranges
 
 
 def _environment(variables: dict) -> tuple[tuple[str, str], ...]:
@@ -354,58 +345,46 @@ def extract_directives(design_root: Path) -> DirectiveProfile:
     pipelined: set = set()
     banks: dict = {}
     if opt_path.exists():
-        for raw in opt_path.read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            command = tokens[0]
-            if command not in ("set_directive_unroll", "set_directive_pipeline",
-                               "set_directive_array_partition"):
-                continue
+        factors = {"set_directive_unroll": unroll, "set_directive_array_partition": banks}
+        for line in opt_path.read_text().splitlines():
+            tokens = line.split() or [""]  # a blank line, a comment or another command: skipped
             label = tokens[-1].split("/")[-1]
-            if command == "set_directive_pipeline":
+            if tokens[0] == "set_directive_pipeline":
                 pipelined.add(label)
-                continue
-            factor = 1
-            if "-factor" in tokens:
-                factor = int(tokens[tokens.index("-factor") + 1])
-            if command == "set_directive_unroll":
-                unroll[label] = factor
-            else:
-                banks[label] = factor
+            elif tokens[0] in factors:
+                factors[tokens[0]][label] = (_factor(label, tokens[tokens.index("-factor") + 1])
+                                             if "-factor" in tokens else 1)
         return DirectiveProfile(unroll, frozenset(pipelined), banks, "tcl")
 
-    anchored: list[tuple[str, list[str]]] = []
     # sources by Path.suffix (a leading dot starts none), read part by part
     # in sorted(Path) order
     sources = sorted((rel for rel in walk_files(design_root)
                       if rel.rpartition("/")[2][1:].endswith(SOURCE_SUFFIXES)),
                      key=lambda rel: rel.split("/"))
+    mode = "bare"  # until an anchor is found
     for rel in sources:
         lines = (design_root / rel).read_text().splitlines()
         for i, line in enumerate(lines):
-            match = ANCHOR_RE.search(line)
-            if match:
-                anchored.append((match.group(1), lines[i + 1:]))
-    if not anchored:
-        return DirectiveProfile({}, frozenset(), {}, "bare")
+            if match := ANCHOR_RE.search(line):
+                mode, label = "intel", match.group(1)
+                for annotation in lines[i + 1:]:  # annotations sit directly under the anchor
+                    if m := _PRAGMA_UNROLL_RE.match(annotation):
+                        unroll[label] = _factor(label, m.group(1))
+                    elif m := _NUMBANKS_RE.match(annotation):
+                        banks[label] = _factor(label, m.group(1))
+                    elif not _BANKWIDTH_RE.match(annotation):
+                        break
     # intel trees carry no explicit pipeline marker; the cost model pipelines
     # every manifest loop when mode is "intel" (the i++ default)
-    for label, following in anchored:
-        for line in following:
-            m = _PRAGMA_UNROLL_RE.match(line)
-            if m:
-                unroll[label] = int(m.group(1))
-                continue
-            m = _NUMBANKS_RE.match(line)
-            if m:
-                banks[label] = int(m.group(1))
-                continue
-            if _BANKWIDTH_RE.match(line):
-                continue
-            break  # annotations sit directly under the anchor
-    return DirectiveProfile(unroll, frozenset(pipelined), banks, "intel")
+    return DirectiveProfile(unroll, frozenset(pipelined), banks, mode)
+
+
+def _factor(label: str, text: str) -> int:
+    """text, the factor of a directive on label, as an int (int's ValueError when it is
+    none); InvalidFactor unless it is >= 1."""
+    if (factor := int(text)) < 1:
+        raise InvalidFactor(f"the directive on {label!r} has factor {factor}, not >= 1")
+    return factor
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -428,11 +407,7 @@ def compute_mock_synth_metrics(manifest: MockManifest, profile: DirectiveProfile
     if profile.mode == "intel":
         pipelined |= loop_labels
 
-    latency = 0
-    lut = manifest.base_lut
-    ff = manifest.base_ff
-    dsp = 0
-    max_unroll = 1
+    latency, lut, ff, dsp, max_unroll = 0, manifest.base_lut, manifest.base_ff, 0, 1
     for loop in manifest.loops:
         factor = profile.unroll.get(loop.label, 1)
         max_unroll = max(max_unroll, factor)

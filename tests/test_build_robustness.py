@@ -42,6 +42,7 @@ from hlsforge.toolflows import (
     perturbed_constants,
     run_flow,
 )
+from conftest import make_design
 
 
 def expanded_gemm(tmp_path, n_samples: int):
@@ -82,6 +83,39 @@ def test_one_bad_design_fails_alone(tmp_path):
         if design is not bad:
             assert synth[("ds__post_frontend", design.id)].status == STATUS_OK
             assert results["mock_impl"][("ds__post_frontend", design.id)].status == STATUS_OK
+
+
+def expand_and_build(tmp_path, choices: str, vendor: str) -> tuple[int, int, list[str]]:
+    """Expand and build, through main, one design whose loop lp1 unrolls by each of
+    choices: both exit codes, and the first line of each log the build wrote."""
+    make_design(tmp_path / "src_ds", "d", template=(
+        f"g,1,1\n0,lp1,,unroll,[{choices}]\nset_directive_unroll -factor [factor] top/[name]\n"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(tmp_path / "work"), "datasets": {"ds": str(tmp_path / "src_ds")},
+        "frontend": {"vendor": vendor, "random_sample": False},
+        "flows": [{"type": "mock_synth"}], "executor": {"n_workers": 1}}))
+    codes = [main([command, "--config", str(config)]) for command in ("expand", "build")]
+    logs = [log.read_text() for log in sorted((tmp_path / "work").rglob("*.log"))]
+    assert not any("ZeroDivisionError" in log or "invalid literal" in log for log in logs)
+    return *codes, [log.splitlines()[0] for log in logs]
+
+
+@pytest.mark.parametrize("vendor", ["xilinx", "intel"])
+def test_a_directive_factor_of_0_fails_its_point_with_a_typed_error(tmp_path, vendor):
+    # it failed with a bare ZeroDivisionError from the cost model's ceiling division
+    assert expand_and_build(tmp_path, "0 2", vendor) == (0, 0, [
+        "flow mock_hls_synth failed: InvalidFactor: the directive on 'lp1' has factor 0, "
+        "not >= 1", "mock hls synth (mock-2023.1) on d__ef76ba21"])
+
+
+@pytest.mark.parametrize("vendor", ["xilinx", "intel"])
+def test_a_negative_factor_choice_fails_its_design_at_lowering(tmp_path, capsys, vendor):
+    # "-4" splits into "" and "4": the 4 was dropped, and opt.tcl read "-factor  top/lp1"
+    assert expand_and_build(tmp_path, "-4 2", vendor) == (1, 4, [])
+    assert "FAILED ds/d: UnfilledPlaceholder: template 'set_directive_unroll -factor " \
+           "[factor] top/[name]' needs 1 non-empty part(s) for ['factor'], but the choice " \
+           "gives ['', '4']\n" in capsys.readouterr().err
 
 
 def test_designs_sharing_an_id_across_datasets_keep_their_own_outcomes(tmp_path):

@@ -138,8 +138,12 @@ def test_missing_command_for_kind_raises():
         render_assignment(space.template, assignment_at(space, 0))
 
 
-def test_choice_with_too_few_parts_raises():
-    text = ("g,1,1\n0,buf,,array_partition,[cyclic]\n"
+# a part too few, one too many (cyclic-2-8 and cyclic-2-16 would render one line and
+# share an id), an empty one ("-2" splits into "" and "2")
+@pytest.mark.parametrize("choice", ["cyclic", "cyclic-2-8", "-2"],
+                         ids=["too-few", "extra", "empty"])
+def test_a_choice_without_one_part_per_placeholder_raises(choice):
+    text = (f"g,1,1\n0,buf,,array_partition,[{choice}]\n"
             "set_directive_array_partition -type [style] -factor [factor] t/[name]\n")
     space = enumerate_design_space(parse_opt_template(text))
     with pytest.raises(UnfilledPlaceholder):

@@ -186,8 +186,14 @@ LOOP_2 = SIMPLE_MANIFEST["loops"][1]
      "loops[0].mult_ops must be >= 0, got -1"),
     ({"arrays": [{"label": "buf", "depth": 64, "elem_bytes": -4}]},
      "arrays[0].elem_bytes must be >= 0, got -4"),
+    # lp1 is pipelined: an empty loop with no body was priced at 0 - 1 + 0 = -1 cycles
+    ({"loops": [{"label": "lp1", "trip_count": 0, "body_ops": 0}, LOOP_2]},
+     "loops[0].body_ops must be >= 1, got 0"),
+    ({"base_ff": -1}, "base_ff must be >= 0, got -1"),
+    ({"arrays": [{"label": "buf", "depth": -64, "elem_bytes": 4}]},
+     "arrays[0].depth must be >= 0, got -64"),
 ], ids=["clock-inf", "clock-nan", "clock-zero", "base-lut", "trip-count", "mult-ops",
-        "elem-bytes"])
+        "elem-bytes", "body-ops", "base-ff", "depth"])
 def test_a_manifest_number_out_of_range_fails_both_mock_flows(tmp_path, change, message):
     [design, *_] = lowered_design(tmp_path)
     assert run_flow(mock_synth_flow(), design).status == STATUS_OK
