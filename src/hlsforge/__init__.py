@@ -21,12 +21,11 @@ _EXPORTS = {name: module for module, names in (
              "WorkspaceLayout concrete_design_id load_dataset load_post_frontend "
              "validate_design_files"),
     ("errors", "HlsForgeError"),
-    ("executor", "ExecutionRecord Job Timeline execute execute_parallel_fine_grained "
-                 "execute_parallel_naive simulate_schedule"),
-    ("frontends", "IntelAnnotation execute_frontend lower_intel lower_xilinx "
-                  "map_directive_to_intel sample_assignments"),
-    ("optdsl", "DesignSpace DirectiveAssignment OptTemplate design_space_size "
-               "enumerate_design_space iter_assignments parse_opt_template render_assignment"),
+    ("executor", "ExecutionRecord Job Timeline execute simulate_schedule"),
+    ("frontends", "execute_frontend lower_intel lower_xilinx map_directive_to_intel "
+                  "sample_assignments"),
+    ("optdsl", "DesignSpace DirectiveAssignment OptTemplate enumerate_design_space "
+               "iter_assignments parse_opt_template render_assignment"),
     ("toolflows", "FlowOutcome MockCostConstants MockManifest ToolFlowSpec mock_hls_synth "
                   "mock_impl mock_impl_flow mock_synth_flow run_flow"),
 ) for name in names.split()}

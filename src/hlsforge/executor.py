@@ -22,7 +22,7 @@ import heapq
 import subprocess  # noqa: F401
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -30,7 +30,7 @@ from pathlib import Path
 # A chain runs toolflows code that imports aggregate (and with it ElementTree) and
 # subprocess only where it is used; both are loaded here, before the pool forks, so
 # no worker loads a module. pool brings signal and traceback.
-from . import aggregate  # noqa: F401
+from . import aggregate
 from .core import (STRATEGIES, DatasetCollection, design_dir, design_identity,
                    replace_on_success, write_json)
 from .errors import WorkerLost
@@ -69,7 +69,6 @@ class ExecutionRecord:
 class Timeline:
     n_workers: int
     records: list[ExecutionRecord] = field(default_factory=list)
-    pinning: dict = field(default_factory=dict)  # worker index -> pinned core or None
 
     def makespan(self) -> float:
         return max((r.end_s for r in self.records), default=0.0)
@@ -77,14 +76,20 @@ class Timeline:
 
 def _finish(design, flows: tuple, version: str, steps: list) -> list:
     """Write the design's data_*.json, then the chain's result: (status, runtime_s,
-    start, end) per flow. A data_*.json that cannot be written fails the first flow."""
+    start, end) per flow. An extraction that fails, a data_*.json that cannot be
+    written included, fails the first flow and leaves none of the design's data_*.json,
+    so no earlier build's values outlive it."""
     if flows:
         try:
             extract_design(design, flows[0], version, steps[0][0])
-        except OSError as exc:
+        except Exception as exc:  # one bad design fails its own chain, as in run_flow
             outcome, start, end = steps[0]
             write_log(outcome.log_path, f"extraction failed: {type(exc).__name__}: {exc}\n", "a")
             steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
+            for name in (aggregate.HLS_DATA_FILENAME, aggregate.IMPL_DATA_FILENAME,
+                         aggregate.EXECUTION_DATA_FILENAME):
+                with suppress(OSError):  # best effort: the failed flow already says why
+                    (design_dir(design) / name).unlink(missing_ok=True)
     return [(outcome.status, outcome.runtime_s, start, end) for outcome, start, end in steps]
 
 
@@ -105,7 +110,7 @@ def _lose_chain(flows: tuple, version: str, design) -> tuple:
     lost = WorkerLost("the pool worker running this chain exited before it finished")
     now = time.monotonic()
     steps = [(failed_outcome(flow, design, lost), now, now) for flow in flows]
-    return (-1, None), _finish(design, flows, version, steps)
+    return -1, _finish(design, flows, version, steps)
 
 
 def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers: int,
@@ -138,9 +143,7 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
     for batch in batches:  # naive: one batch per dataset, each drained before the next
         with closing(fork_imap(chain, [design for _, design in batch], n_workers, pin_cores,
                                chunksize, lost)) as results:
-            for (dataset_name, design), ((index, core), steps) in zip(batch, results):
-                if pin_cores and index >= 0:
-                    timeline.pinning[index] = core
+            for (dataset_name, design), (index, steps) in zip(batch, results):
                 ident, root, outcomes = design_identity(design), design_dir(design), []
                 for flow, (status, runtime_s, start, end) in zip(flows, steps):
                     status = sys.intern(status)
@@ -156,21 +159,6 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
                                      r.end_s - origin, r.status)
     records.sort(key=lambda r: (r.start_s, r.worker_index))
     return chains, timeline
-
-
-def execute_parallel_fine_grained(collection: DatasetCollection, flow: ToolFlowSpec,
-                                  n_workers: int, pin_cores: bool = False
-                                  ) -> tuple[list, Timeline]:
-    """One flow over one shared queue across all datasets; outcomes in job order."""
-    chains, timeline = execute(collection, [flow], n_workers, "fine_grained", pin_cores)
-    return [outcome for (outcome,) in chains], timeline
-
-
-def execute_parallel_naive(collection: DatasetCollection, flow: ToolFlowSpec,
-                           n_workers: int, pin_cores: bool = False) -> tuple[list, Timeline]:
-    """One flow, dataset after dataset with a barrier between (the baseline policy)."""
-    chains, timeline = execute(collection, [flow], n_workers, "naive", pin_cores)
-    return [outcome for (outcome,) in chains], timeline
 
 
 def simulate_schedule(durations: list[list[float]], n_workers: int,

@@ -75,14 +75,6 @@ PROVENANCE_FILENAME = "data_intel_provenance.json"
 _SHUFFLE_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class IntelAnnotation:
-    label: str
-    text: str
-    placement: str  # "before_loop" or "on_declaration"
-    provenance: str
-
-
 @dataclass
 class FrontendResult:
     """Post-frontend collection plus per-design expansion bookkeeping."""
@@ -179,27 +171,20 @@ def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
 
 
 def map_directive_to_intel(line: DirectiveLine, choice: str,
-                           elem_bytes: int | None = None) -> list[IntelAnnotation]:
-    """Annotations for one directive line; pipeline is the no-op default on intel."""
-    out: list[IntelAnnotation] = []
+                           elem_bytes: int | None = None) -> list[str]:
+    """The annotation lines for one directive line, each to go under its label's
+    anchor; pipeline is the no-op default on intel."""
     if line.fixed_directive and line.fixed_directive != "pipeline":
         raise UnsupportedDirective(
             f"fixed directive {line.fixed_directive!r} has no intel lowering")
     if line.param_kind == "unroll":
-        out.append(IntelAnnotation(line.label, f"#pragma unroll {choice}", "before_loop",
-                                   f"unroll[{line.label}]={choice}"))
-    elif line.param_kind == "array_partition":
-        factor = choice.split("-")[-1]
+        return [f"#pragma unroll {choice}"]
+    if line.param_kind == "array_partition":
         if elem_bytes is None:
             raise ManifestMissing(
                 f"array_partition on {line.label!r} needs the element width from the manifest")
-        out.append(IntelAnnotation(line.label, f"hls_numbanks({factor})", "on_declaration",
-                                   f"array_partition[{line.label}]={choice}"))
-        out.append(IntelAnnotation(line.label, f"hls_bankwidth({elem_bytes})", "on_declaration",
-                                   f"array_partition[{line.label}]={choice}"))
-    else:
-        raise UnsupportedDirective(f"directive kind {line.param_kind!r} has no intel lowering")
-    return out
+        return [f"hls_numbanks({choice.split('-')[-1]})", f"hls_bankwidth({elem_bytes})"]
+    raise UnsupportedDirective(f"directive kind {line.param_kind!r} has no intel lowering")
 
 
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
@@ -207,7 +192,7 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
     """Copy sources and inject annotations after each label's anchor comment."""
     record, out_dir = _lowering_copy(design, assignment, layout, "intel")
 
-    by_label: dict[str, list[IntelAnnotation]] = {}
+    by_label: dict[str, list[str]] = {}
     provenance: list[dict] = []
     widths = None  # each array's elem_bytes, from the manifest once a partition needs them
     for sel in assignment.canonicalized().selections:
@@ -227,9 +212,9 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         if sel.fixed_directive == "pipeline":
             provenance.append({"label": sel.label, "directive": "pipeline", "choice": "",
                                "effect": "default-pipelined"})
-        for ann in annotations:
+        for text in annotations:
             provenance.append({"label": sel.label, "directive": sel.param_kind,
-                               "choice": sel.choice, "effect": ann.text})
+                               "choice": sel.choice, "effect": text})
 
     pending = dict(by_label)
     for rel in list_design_files(out_dir):
@@ -241,9 +226,9 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         for src_line in lines:
             out_lines.append(src_line)
             if match := ANCHOR_RE.search(src_line):
-                for ann in pending.pop(match.group(1), []):
+                for text in pending.pop(match.group(1), []):
                     indent = src_line[:len(src_line) - len(src_line.lstrip())].rstrip("\n")
-                    out_lines.append(f"{indent}{ann.text}\n")
+                    out_lines.append(f"{indent}{text}\n")
         if len(out_lines) > len(lines):  # an annotation went in
             path.write_text("".join(out_lines))
     if pending:

@@ -211,10 +211,6 @@ def enumerate_design_space(template: OptTemplate) -> DesignSpace:
     return DesignSpace(tuple(axes), template)
 
 
-def design_space_size(template: OptTemplate) -> int:
-    return enumerate_design_space(template).size
-
-
 def assignment_at(space: DesignSpace, index: int) -> DirectiveAssignment:
     """Decode a flat index (mixed radix, product order) into an assignment."""
     if not 0 <= index < space.size:

@@ -50,9 +50,8 @@ from .errors import WorkerLost
 # the per-chunk round trip stays small next to the work in it
 CHUNKS_PER_WORKER = 32
 
-# in a pool process: this worker's (index, pinned core), and its mark; both set
-# once after the fork
-_worker: tuple[int, int | None] = (0, None)
+# in a pool process: this worker's index, and its mark; both set once after the fork
+_worker = 0
 _mark: int | None = None
 
 
@@ -68,8 +67,8 @@ def pin_to_core(worker_index: int) -> int | None:
         return None
 
 
-def current_worker() -> tuple[int, int | None]:
-    """(index, pinned core) of the pool process running this; (0, None) outside a pool."""
+def current_worker() -> int:
+    """The index of the pool process running this; 0 outside a pool."""
     return _worker
 
 
@@ -223,7 +222,9 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
                     os.close(other.results)
                 os.close(task_w)
                 os.close(result_r)
-                _worker = (index, pin_to_core(index) if pin_cores else None)
+                _worker = index
+                if pin_cores:
+                    pin_to_core(index)
                 _mark = mark
                 serve(index, task_r, result_w)
                 code = 0

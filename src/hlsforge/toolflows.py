@@ -82,8 +82,8 @@ KIND_MOCK_IMPL = "mock_impl"
 KIND_EXTERNAL = "external"
 _MOCK_REPORTS = {KIND_MOCK_SYNTH: CSYNTH_REPORT_RELPATH, KIND_MOCK_IMPL: IMPL_REPORT_RELPATH}
 
-_PRAGMA_UNROLL_RE = re.compile(r"^\s*#pragma\s+unroll\s+(\d+)\s*$")
-_NUMBANKS_RE = re.compile(r"^\s*hls_numbanks\((\d+)\)\s*$")
+_PRAGMA_UNROLL_RE = re.compile(r"^\s*#pragma\s+unroll\s+(\S+)\s*$")
+_NUMBANKS_RE = re.compile(r"^\s*hls_numbanks\((.*)\)\s*$")
 _BANKWIDTH_RE = re.compile(r"^\s*hls_bankwidth\((\d+)\)\s*$")
 
 DEFAULT_TIMEOUT_S = 3600.0  # a flow's time budget when none is given
@@ -464,7 +464,7 @@ def _write_csynth_xml(path: Path, metrics: HlsSynthMetrics) -> None:
                        ("BRAM_18K", metrics.bram), ("URAM", metrics.uram)):
         ElementTree.SubElement(resources, tag).text = str(value)
     ElementTree.indent(root, space="  ")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    os.makedirs(path.parent, exist_ok=True)
     path.write_bytes(ElementTree.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n")
 
 
@@ -499,9 +499,7 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str
         raise SynthReportMissing(f"{report_path} does not exist; run synthesis first") from exc
     manifest = MockManifest.load(root)
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
-    out_path = root / IMPL_REPORT_RELPATH
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out_path, asdict(metrics))
+    write_json(root / IMPL_REPORT_RELPATH, asdict(metrics))  # hls_prj/ holds the report just read
     return (f"mock impl ({constants.version}) on {design_identity(design)}\n"
             f"clock_target_ns={manifest.clock_target_ns} wns_ns={metrics.wns_ns} "
             f"lut={metrics.lut} ff={metrics.ff} power_w={metrics.total_power_w}\n")

@@ -39,7 +39,7 @@ from hlsforge.aggregate import (
 from hlsforge.analysis import wilcoxon_signed_rank
 from hlsforge.cli import WORK_DIR_ENV, bundled_designs_dir, main
 from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend
-from hlsforge.executor import execute_parallel_fine_grained, simulate_schedule
+from hlsforge.executor import execute, simulate_schedule
 from hlsforge.frontends import FrontendConfig, execute_frontend, sample_assignments
 from hlsforge.optdsl import (
     assignment_at,
@@ -197,8 +197,9 @@ def test_criterion_05_wall_clock_parallelism_and_timeouts(capsys, tmp_path):
 
         stub = custom_flow("sleep_stub", ("sh", "-c", "sleep 1"))
         wall_start = time.perf_counter()
-        outcomes, timeline = execute_parallel_fine_grained(collection, stub, 4)
+        chains, timeline = execute(collection, [stub], 4)
         wall = time.perf_counter() - wall_start
+        outcomes = [outcome for (outcome,) in chains]
         assert wall < 3.5
         assert len(outcomes) == 8
         assert all(o.status == STATUS_OK for o in outcomes)

@@ -85,11 +85,19 @@ def test_one_bad_design_fails_alone(tmp_path):
             assert results["mock_impl"][("ds__post_frontend", design.id)].status == STATUS_OK
 
 
-def expand_and_build(tmp_path, choices: str, vendor: str) -> tuple[int, int, list[str]]:
+def expand_and_build(tmp_path, choices: str, vendor: str, partitions: str = "",
+                     forbidden: tuple = ("ZeroDivisionError", "invalid literal")
+                     ) -> tuple[int, int, list[str]]:
     """Expand and build, through main, one design whose loop lp1 unrolls by each of
-    choices: both exit codes, and the first line of each log the build wrote."""
-    make_design(tmp_path / "src_ds", "d", template=(
-        f"g,1,1\n0,lp1,,unroll,[{choices}]\nset_directive_unroll -factor [factor] top/[name]\n"))
+    choices, and whose array buf is partitioned by each of partitions when they are
+    given: both exit codes, and the first line of each log the build wrote. No log may
+    name any of forbidden."""
+    template = (f"g,1,1\n0,lp1,,unroll,[{choices}]\n"
+                "set_directive_unroll -factor [factor] top/[name]\n")
+    if partitions:
+        template += (f"m,1,1\n0,buf,,array_partition,[{partitions}]\n"
+                     "set_directive_array_partition -type [type] -factor [factor] top/[name]\n")
+    make_design(tmp_path / "src_ds", "d", template=template)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "work_dir": str(tmp_path / "work"), "datasets": {"ds": str(tmp_path / "src_ds")},
@@ -97,7 +105,7 @@ def expand_and_build(tmp_path, choices: str, vendor: str) -> tuple[int, int, lis
         "flows": [{"type": "mock_synth"}], "executor": {"n_workers": 1}}))
     codes = [main([command, "--config", str(config)]) for command in ("expand", "build")]
     logs = [log.read_text() for log in sorted((tmp_path / "work").rglob("*.log"))]
-    assert not any("ZeroDivisionError" in log or "invalid literal" in log for log in logs)
+    assert not any(word in log for log in logs for word in forbidden)
     return *codes, [log.splitlines()[0] for log in logs]
 
 
@@ -107,6 +115,20 @@ def test_a_directive_factor_of_0_fails_its_point_with_a_typed_error(tmp_path, ve
     assert expand_and_build(tmp_path, "0 2", vendor) == (0, 0, [
         "flow mock_hls_synth failed: InvalidFactor: the directive on 'lp1' has factor 0, "
         "not >= 1", "mock hls synth (mock-2023.1) on d__ef76ba21"])
+
+
+@pytest.mark.parametrize("vendor", ["xilinx", "intel"])
+def test_a_factor_that_is_no_integer_fails_its_synthesis_on_either_vendor(tmp_path, vendor):
+    # the intel reader skipped "#pragma unroll abc" and "hls_numbanks(abc)", so those
+    # designs built ok with no unroll and no banks
+    expand_code, build_code, first_lines = expand_and_build(
+        tmp_path, "abc 2", vendor, partitions="cyclic-abc cyclic-2",
+        forbidden=("ZeroDivisionError",))
+    error = "flow mock_hls_synth failed: ValueError: invalid literal for int() with base 10: 'abc'"
+    assert (expand_code, build_code) == (0, 0)
+    assert first_lines.count(error) == 3  # every design but the one of factors 2 and 2
+    [built] = [line for line in first_lines if line != error]
+    assert built.startswith("mock hls synth (mock-2023.1) on d__")
 
 
 @pytest.mark.parametrize("vendor", ["xilinx", "intel"])
@@ -448,6 +470,57 @@ def test_a_sidecar_that_cannot_be_written_fails_only_its_design(tmp_path, capsys
     assert f"IsADirectoryError: [Errno 21] Is a directory: '{bad.dir / 'data_hls.json'}'" in log
     for design in designs:
         if design is not bad:
+            assert read_standard_json(design.dir).execution.status == STATUS_OK
+
+
+HUGE = 10 ** 400  # past every float: simulated_runtime_s raises OverflowError on its LUTs
+
+
+@pytest.mark.parametrize("trigger", ["factor", "manifest"])
+def test_an_extraction_error_fails_only_its_design(tmp_path, capsys, trigger):
+    """A template choice or a manifest number that the extraction cannot price fails its
+    design's first flow; the build goes on, and a rebuild keeps no earlier values."""
+    source = tmp_path / "src_ds"
+    for name in ("atax", "gemm"):
+        shutil.copytree(bundled_designs_dir() / name, source / name)
+    choices = f"2 {HUGE}" if trigger == "factor" else "2"
+    (source / "atax" / "opt_template.tcl").write_text(
+        f"loop_opt,1,1\n0,l1,,unroll,[{choices}]\nset_directive_unroll -factor [factor] "
+        f"atax/[name]\n")
+    if trigger == "manifest":
+        manifest = json.loads((source / "atax" / "mock_manifest.json").read_text())
+        (source / "atax" / "mock_manifest.json").write_text(json.dumps({**manifest,
+                                                                         "base_lut": HUGE}))
+    work = tmp_path / "work"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "work_dir": str(work), "datasets": {"ds": str(source)},
+        "seed": 5, "frontend": {"n_samples": 2},
+        "flows": [{"type": "mock_synth"}, {"type": "mock_impl"}],
+        "executor": {"n_workers": 2}}))
+    assert main(["expand", "--config", str(config)]) == 0
+    designs = load_post_frontend(work)["ds__post_frontend"].designs
+    [bad] = [design for design in designs if str(HUGE) in (design.dir / "opt.tcl").read_text()
+             + (design.dir / "mock_manifest.json").read_text()]
+    good = [design for design in designs if design is not bad]
+    for rebuild in (False, True):
+        if rebuild:  # values an earlier build left
+            for name in ("data_hls.json", "data_impl.json", "data_execution.json"):
+                shutil.copyfile(good[0].dir / name, bad.dir / name)
+        (work / "timeline.json").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert main(["build", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert f"flow mock_hls_synth: failed=1, ok={len(good)}" in out
+        timeline = json.loads((work / "timeline.json").read_text())
+        assert {(entry["design_id"], entry["flow"]): entry["status"] for entry in timeline} == {
+            (design.id, flow): STATUS_FAILED if design is bad else STATUS_OK
+            for design in designs for flow in ("mock_hls_synth", "mock_impl")}
+        assert "extraction failed: OverflowError: " in \
+            (bad.dir / "mock_hls_synth.log").read_text()
+        assert [name for name in ("data_hls.json", "data_impl.json", "data_execution.json")
+                if (bad.dir / name).exists()] == []
+        for design in good:
             assert read_standard_json(design.dir).execution.status == STATUS_OK
 
 

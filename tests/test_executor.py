@@ -18,8 +18,6 @@ from hlsforge.executor import (
     Job,
     Timeline,
     execute,
-    execute_parallel_fine_grained,
-    execute_parallel_naive,
     simulate_schedule,
     utilization_rows,
     write_timeline,
@@ -52,7 +50,8 @@ def lowered_collection(tmp_path, names=("a", "b"), per_dataset=1):
 
 def test_fine_grained_runs_every_job(tmp_path):
     collection = lowered_collection(tmp_path)
-    outcomes, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 3)
+    chains, timeline = execute(collection, [mock_synth_flow()], 3)
+    outcomes = [outcome for (outcome,) in chains]
     assert len(outcomes) == 12
     assert all(o.status == STATUS_OK for o in outcomes)
     assert len(timeline.records) == 12
@@ -66,15 +65,14 @@ def test_fine_grained_runs_every_job(tmp_path):
 def test_outcomes_follow_job_order(tmp_path):
     collection = lowered_collection(tmp_path)
     expected = [d.id for ds in collection.values() for d in ds.designs]
-    outcomes, _ = execute_parallel_fine_grained(collection, mock_synth_flow(), 4)
-    assert [o.design_id for o in outcomes] == expected
-    outcomes, _ = execute_parallel_naive(collection, mock_synth_flow(), 4)
-    assert [o.design_id for o in outcomes] == expected
+    for strategy in ("fine_grained", "naive"):
+        chains, _ = execute(collection, [mock_synth_flow()], 4, strategy)
+        assert [o.design_id for (o,) in chains] == expected
 
 
 def test_workers_never_overlap(tmp_path):
     collection = lowered_collection(tmp_path)
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 2)
+    _, timeline = execute(collection, [mock_synth_flow()], 2)
     by_worker: dict[int, list] = {}
     for record in timeline.records:
         assert record.end_s >= record.start_s
@@ -118,7 +116,7 @@ def test_mock_chains_run_in_child_processes_without_overlap(tmp_path, monkeypatc
 
 def test_naive_barrier_between_datasets(tmp_path):
     collection = lowered_collection(tmp_path)
-    _, timeline = execute_parallel_naive(collection, mock_synth_flow(), 2)
+    _, timeline = execute(collection, [mock_synth_flow()], 2, "naive")
     first, second = list(collection)
     ends_first = [r.end_s for r in timeline.records if r.job.dataset_name == first]
     starts_second = [r.start_s for r in timeline.records if r.job.dataset_name == second]
@@ -127,7 +125,7 @@ def test_naive_barrier_between_datasets(tmp_path):
 
 def test_single_worker_serializes(tmp_path):
     collection = lowered_collection(tmp_path, names=("a",))
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 1)
+    _, timeline = execute(collection, [mock_synth_flow()], 1)
     records = sorted(timeline.records, key=lambda r: r.start_s)
     assert all(r.worker_index == 0 for r in records)
     for earlier, later in zip(records, records[1:]):
@@ -137,17 +135,34 @@ def test_single_worker_serializes(tmp_path):
 def test_worker_count_validation(tmp_path):
     collection = lowered_collection(tmp_path, names=("a",))
     with pytest.raises(ValueError):
-        execute_parallel_fine_grained(collection, mock_synth_flow(), 0)
+        execute(collection, [mock_synth_flow()], 0)
     with pytest.raises(ValueError):
-        execute_parallel_naive(collection, mock_synth_flow(), -1)
+        execute(collection, [mock_synth_flow()], -1, "naive")
 
 
-def test_pinning_is_recorded(tmp_path):
+def run_and_note_affinity(flow, design):
+    """run_flow, after noting the pid and the cores of the process that runs it."""
+    (design.dir / "affinity.json").write_text(
+        json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))]))
+    return run_flow(flow, design)
+
+
+def noted_affinities(designs) -> set:
+    """(pid, cores) of each process that ran a chain of designs."""
+    return {(pid, frozenset(cores)) for pid, cores in
+            (json.loads((design.dir / "affinity.json").read_text()) for design in designs)}
+
+
+def test_each_chain_of_a_pinned_build_runs_on_one_allowed_core(tmp_path, monkeypatch):
+    monkeypatch.setattr(executor, "run_flow", run_and_note_affinity)
     collection = lowered_collection(tmp_path, names=("a",))
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 2, pin_cores=True)
-    assert set(timeline.pinning) <= {0, 1}
-    for core in timeline.pinning.values():
-        assert core is None or isinstance(core, int)
+    allowed = os.sched_getaffinity(0)
+    chains, _ = execute(collection, [mock_synth_flow()], 2, pin_cores=True)
+    assert all(outcome.status == STATUS_OK for (outcome,) in chains)
+    noted = noted_affinities(collection["a__post_frontend"].designs)
+    assert noted and os.getpid() not in {pid for pid, _ in noted}
+    for _, cores in noted:
+        assert len(cores) == 1 and cores <= allowed
 
 
 def test_pinning_chooses_among_the_allowed_cores(monkeypatch):
@@ -159,19 +174,15 @@ def test_pinning_chooses_among_the_allowed_cores(monkeypatch):
 
 
 def test_pinning_one_worker_leaves_the_caller_alone(tmp_path, monkeypatch):
-    def run_and_note_pid(flow, design):
-        (design.dir / "pid.txt").write_text(f"{os.getpid()}\n")
-        return run_flow(flow, design)
-
-    monkeypatch.setattr(executor, "run_flow", run_and_note_pid)
+    monkeypatch.setattr(executor, "run_flow", run_and_note_affinity)
     collection = lowered_collection(tmp_path, names=("a",))
     allowed = os.sched_getaffinity(0)
     _, timeline = execute(collection, [mock_synth_flow()], 1, pin_cores=True)
-    assert list(timeline.pinning) == [0]
-    assert timeline.pinning[0] is None or timeline.pinning[0] in allowed
+    assert {r.worker_index for r in timeline.records} == {0}
     assert os.sched_getaffinity(0) == allowed
-    pids = {(d.dir / "pid.txt").read_text() for d in collection["a__post_frontend"].designs}
-    assert len(pids) == 1 and pids != {f"{os.getpid()}\n"}  # one pinned child ran every chain
+    [(pid, cores)] = noted_affinities(collection["a__post_frontend"].designs)
+    assert pid != os.getpid()  # one pinned child ran every chain
+    assert len(cores) == 1 and cores <= allowed
 
 
 def test_simulate_crafted_instance():
@@ -239,7 +250,7 @@ def test_simulate_validation():
 
 def test_write_timeline_schema(tmp_path):
     collection = lowered_collection(tmp_path, names=("a",))
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 2)
+    _, timeline = execute(collection, [mock_synth_flow()], 2)
     path = write_timeline(tmp_path / "timeline.json", timeline)
     payload = json.loads(path.read_text())
     assert isinstance(payload, list)
@@ -279,7 +290,7 @@ def test_a_failed_timeline_write_leaves_the_old_file(tmp_path):
 
 def test_utilization_rows_cover_all_workers(tmp_path):
     collection = lowered_collection(tmp_path, names=("a",))
-    _, timeline = execute_parallel_fine_grained(collection, mock_synth_flow(), 3)
+    _, timeline = execute(collection, [mock_synth_flow()], 3)
     rows = utilization_rows(timeline)
     assert [r["worker"] for r in rows] == [0, 1, 2]
     assert sum(r["n_jobs"] for r in rows) == 6

@@ -169,17 +169,13 @@ def test_lower_requires_a_template(tmp_path):
 
 def test_map_unroll_to_intel_pragma():
     line = DirectiveLine(0, "lp", "pipeline", "unroll", ("4",))
-    annotations = map_directive_to_intel(line, "4")
-    assert len(annotations) == 1
-    assert annotations[0].text == "#pragma unroll 4"
-    assert annotations[0].placement == "before_loop"
+    assert map_directive_to_intel(line, "4") == ["#pragma unroll 4"]
 
 
 def test_map_array_partition_to_intel_attributes():
     line = DirectiveLine(0, "buf", "", "array_partition", ("cyclic-4",))
-    annotations = map_directive_to_intel(line, "cyclic-4", elem_bytes=8)
-    assert [a.text for a in annotations] == ["hls_numbanks(4)", "hls_bankwidth(8)"]
-    assert all(a.placement == "on_declaration" for a in annotations)
+    assert map_directive_to_intel(line, "cyclic-4", elem_bytes=8) == ["hls_numbanks(4)",
+                                                                       "hls_bankwidth(8)"]
 
 
 def test_map_array_partition_needs_elem_bytes():

@@ -11,7 +11,6 @@ from hlsforge.optdsl import (
     DirectiveAssignment,
     assignment_at,
     canonical_text,
-    design_space_size,
     enumerate_design_space,
     iter_assignments,
     parse_opt_template,
@@ -37,13 +36,13 @@ def test_parse_skips_comments_and_blank_lines():
     text = "# header comment\n\ng,1,1\n# inline note\n0,lp,,unroll,[1 2]\n\nset_directive_unroll -factor [f] t/[name]\n"
     template = parse_opt_template(text)
     assert len(template.groups[0].lines) == 1
-    assert design_space_size(template) == 2
+    assert enumerate_design_space(template).size == 2
 
 
 def test_parse_empty_text_gives_empty_space():
     template = parse_opt_template("# nothing here\n")
     assert template.groups == ()
-    assert design_space_size(template) == 1
+    assert enumerate_design_space(template).size == 1
 
 
 def test_directive_line_before_any_header_rejected():

@@ -91,7 +91,7 @@ def test_an_exception_arrives_after_the_results_of_every_earlier_item():
 
 def worker_of(x: int) -> int:
     time.sleep(0.5 if x == 0 else 0.01)
-    return current_worker()[0]
+    return current_worker()
 
 
 def test_single_items_go_to_the_next_free_worker():

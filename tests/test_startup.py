@@ -20,20 +20,20 @@ from conftest import make_design
 SRC = Path(__file__).resolve().parent.parent / "src"
 BUNDLED = SRC / "hlsforge" / "fixtures" / "designs"
 
-# every name the package exported when its __init__ imported all its modules
+# every name the package exports
 EXPORTED = """
-AbstractDesign AggregatedRow AggregatedTable ConcreteDesign CoverageSummary DatasetCollection
-DesignDataset DesignSpace DirectiveAssignment ExecutionMeta ExecutionRecord FlowOutcome
-FrontendConfig HlsForgeError HlsSynthMetrics ImplMetrics IntelAnnotation Job MetricsBundle
-MockCostConstants MockManifest OptTemplate RegressionReport Timeline ToolFlowSpec
-WilcoxonResult WorkspaceLayout aggregate_collection archive_dataset compare_tool_versions
-compute_r2 compute_rae concrete_design_id coverage_summary design_space_size
-enumerate_design_space execute execute_frontend execute_parallel_fine_grained
-execute_parallel_naive export_tabular histogram import_external_dataset iter_assignments
-load_dataset load_post_frontend load_table lower_intel lower_xilinx map_directive_to_intel
-mock_hls_synth mock_impl mock_impl_flow mock_synth_flow parse_impl_report
-parse_opt_template parse_vitis_csynth_report render_assignment run_flow sample_assignments
-simulate_schedule validate_design_files wilcoxon_signed_rank write_standard_json
+AbstractDesign AggregatedRow AggregatedTable ConcreteDesign CoverageSummary
+DatasetCollection DesignDataset DesignSpace DirectiveAssignment ExecutionMeta
+ExecutionRecord FlowOutcome FrontendConfig HlsForgeError HlsSynthMetrics ImplMetrics Job
+MetricsBundle MockCostConstants MockManifest OptTemplate RegressionReport Timeline
+ToolFlowSpec WilcoxonResult WorkspaceLayout aggregate_collection archive_dataset
+compare_tool_versions compute_r2 compute_rae concrete_design_id coverage_summary
+enumerate_design_space execute execute_frontend export_tabular histogram
+import_external_dataset iter_assignments load_dataset load_post_frontend load_table
+lower_intel lower_xilinx map_directive_to_intel mock_hls_synth mock_impl mock_impl_flow
+mock_synth_flow parse_impl_report parse_opt_template parse_vitis_csynth_report
+render_assignment run_flow sample_assignments simulate_schedule validate_design_files
+wilcoxon_signed_rank write_standard_json
 """.split()
 
 # sha256 of the demo's exports (4 samples, seed 42), as test_acceptance pins them
@@ -109,7 +109,7 @@ print(sorted(m for m in sys.modules if m.startswith("hlsforge")))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 64 and sorted(hlsforge.__all__) == sorted(["__version__", *EXPORTED])
+    assert len(EXPORTED) == 60 and sorted(hlsforge.__all__) == sorted(["__version__", *EXPORTED])
     names = dir(hlsforge)
     for name in EXPORTED:
         assert name in names
