@@ -20,7 +20,7 @@ import tempfile
 import zipfile
 import zlib
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 from xml.etree import ElementTree
@@ -29,11 +29,13 @@ from .core import (  # the report paths live in core, which the set-up path load
     CSYNTH_REPORT_RELPATH,
     IMPL_REPORT_RELPATH,
     SOURCE_SUFFIXES,
+    DESIGN_DATA_FILENAME,
     AssignmentEntry,
+    DesignRecord,
     list_post_frontend,
     read_declared,
-    read_design_record,
     read_json,
+    read_record,
     replace_on_success,
     walk_files,
     write_json,
@@ -231,15 +233,16 @@ def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
         if section is None:
             path.unlink(missing_ok=True)
             continue
-        written.append(write_json(path, {"schema_version": SCHEMA_VERSION, **asdict(section)}))
+        # a section's fields are scalars, so its __dict__ is its JSON object in field order
+        written.append(write_json(path, {"schema_version": SCHEMA_VERSION, **vars(section)}))
     return written
 
 
 def _read_section(design_dir: Path, filename: str, cls):
     """The section stored in filename, read as cls declares (core.read_declared), or
-    None when the file is absent or corrupted (not a JSON object; fields missing,
-    unknown or of the wrong JSON type): one bad sidecar leaves its section null
-    rather than sink the table."""
+    None when the file is absent, unreadable or corrupted (not a JSON object; fields
+    missing, unknown or of the wrong JSON type): one bad sidecar leaves its section
+    null rather than sink the table."""
     with suppress(MalformedReport, MissingField):
         payload = read_json(design_dir / filename)
         if payload is not None:
@@ -279,11 +282,11 @@ def _assignment_columns(entries: tuple[AssignmentEntry, ...]) -> dict:
 def _design_columns(design_dir: Path) -> dict:
     """Identity, vendor and assignment columns from data_design.json.
 
-    When the file is absent or unreadable (core.read_design_record), the id and
-    base name come from the directory name and the other columns stay null.
+    When the file is absent or unreadable (core.read_record), the id and base name
+    come from the directory name and the other columns stay null.
     """
     with suppress(MalformedReport):
-        if (record := read_design_record(design_dir)) is not None:
+        if (record := read_record(DesignRecord, design_dir / DESIGN_DATA_FILENAME)) is not None:
             return {"design_id": record.id, "base_name": record.base_name,
                     "vendor": record.vendor, **_assignment_columns(record.assignment)}
     return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
@@ -356,9 +359,9 @@ def load_table(path: Path) -> AggregatedTable:
 
     A JSONL line is read as AggregatedRow declares (core.read_declared), its
     schema_version and any other key no column names ignored. Raises
-    SourceUnreadable when the file is absent, and MalformedReport naming the
-    file when a line or cell cannot be read back as export_tabular writes it (an
-    int cell "2.5", a JSONL ``true`` in an int column, ...).
+    SourceUnreadable when the file is absent or unreadable, and MalformedReport
+    naming the file when a line or cell cannot be read back as export_tabular
+    writes it (an int cell "2.5", a JSONL ``true`` in an int column, ...).
     """
     path = Path(path)
     rows = []
@@ -374,8 +377,8 @@ def load_table(path: Path) -> AggregatedTable:
                     for name in COLUMNS:
                         setattr(row, name, _csv_value(name, record.get(name)))
                     rows.append(_share_strings(row))
-    except FileNotFoundError as exc:
-        raise SourceUnreadable(f"table file {path} does not exist") from exc
+    except OSError as exc:  # absent, a directory, no permission
+        raise SourceUnreadable(f"table file {path}: {exc}") from exc
     # undecodable bytes, invalid JSON or CSV, a line that is no object, a bad cell
     except (ValueError, ArithmeticError, TypeError, csv.Error, MalformedReport) as exc:
         raise MalformedReport(f"table file {path}: {exc}") from exc

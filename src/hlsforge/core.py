@@ -18,7 +18,7 @@ import re
 import sys
 from collections.abc import Collection, Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -327,19 +327,31 @@ def list_post_frontend(work_dir: Path) -> dict[str, list[Path]]:
 def read_json(path: Path) -> dict | None:
     """The JSON object in the file at path, or None when there is no such file.
 
-    Raises MalformedReport naming the file when its bytes are undecodable, its
-    text is not JSON, or its JSON is not an object.
+    Raises MalformedReport naming the file for any other OSError (a directory, no
+    permission), undecodable bytes, text that is no JSON, or JSON that is no object.
     """
     try:
         with open(path) as handle:
             payload = json.load(handle)
     except FileNotFoundError:
         return None
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+    except (OSError, ValueError) as exc:  # unreadable, undecodable bytes or invalid JSON
         raise MalformedReport(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedReport(f"{path}: not a JSON object")
     return payload
+
+
+def read_record(cls, path: Path, ignore_unknown: bool = False):
+    """The one reader of a declared record file: the file at path read as the dataclass
+    cls declares (read_json, read_declared), or None when there is no such file.
+    Raises MalformedReport naming the file for whatever either refuses."""
+    if (payload := read_json(path)) is None:
+        return None
+    try:
+        return read_declared(cls, payload, ignore_unknown=ignore_unknown)
+    except (MissingField, MalformedReport, ValueError) as exc:
+        raise MalformedReport(f"{path}: {exc}") from exc
 
 
 def json_fits(value, hint) -> bool:
@@ -359,10 +371,11 @@ def json_fits(value, hint) -> bool:
 
 @functools.cache
 def _declaration(cls) -> dict:
-    """The fields of the dataclass cls as read_declared reads them, by name in field
-    order: (the JSON type a value must fit, whether the key is required, the dataclass
-    the value, or each of its items, is read as, the list or tuple holding those items,
-    whether an int reads as a float). Built on the class's first read."""
+    """The fields of the dataclass cls as read_declared reads them and write_json
+    writes them, by name in field order: (the JSON type a value must fit, whether the
+    key is required, the dataclass the value, or each of its items, is read as, the
+    list or tuple holding those items, whether an int reads as a float). Built on the
+    class's first read or write."""
     hints = get_type_hints(cls)
     plan = {}
     for spec in fields(cls):
@@ -421,19 +434,33 @@ def read_declared(cls, payload, where: str = "", /, ignore_unknown: bool = False
 
 
 def write_json(path: Path, obj) -> Path:
-    """Write obj as JSON in the work tree's one layout: two-space indent, final newline.
+    """Write obj, a JSON value or a declared record (_json_object), as JSON in the work
+    tree's one layout: two-space indent, final newline.
 
     The text is encoded straight into the file in blocks of at most
     _JSON_BLOCK_TOKENS tokens, never held whole: json.dump would make one
     write per token.
     """
     path = Path(path)
-    tokens = json.JSONEncoder(indent=2).iterencode(obj)
+    tokens = json.JSONEncoder(indent=2).iterencode(
+        _json_object(obj) if is_dataclass(obj) else obj)
     with open(path, "w") as handle:
         while block := "".join(itertools.islice(tokens, _JSON_BLOCK_TOKENS)):
             handle.write(block)
         handle.write("\n")
     return path
+
+
+def _json_object(record) -> dict:
+    """record's fields by name in declaration order (_declaration), a nested record, or
+    each of a list or tuple of them, as its own such object: what read_declared reads."""
+    obj = {}
+    for name, (_, _, item, container, _) in _declaration(type(record)).items():
+        value = getattr(record, name)
+        if item is not None:
+            value = [*map(_json_object, value)] if container else _json_object(value)
+        obj[name] = value
+    return obj
 
 
 @contextmanager
@@ -455,37 +482,18 @@ def replace_on_success(path: Path) -> Iterator[Path]:
         raise
 
 
-def read_design_record(root: Path) -> DesignRecord | None:
-    """The data_design.json in root, read as DesignRecord declares (read_declared), or
-    None when there is no such file. Raises MalformedReport naming the file for bad
-    bytes or JSON, a key absent, unknown or of the wrong JSON type, or a number out of
-    its declared range."""
-    path = Path(root) / DESIGN_DATA_FILENAME
-    if (payload := read_json(path)) is None:
-        return None
-    try:
-        return read_declared(DesignRecord, payload)
-    except (MissingField, MalformedReport, ValueError) as exc:
-        raise MalformedReport(f"{path}: {exc}") from exc
-
-
-def write_design_record(root: Path, record: DesignRecord) -> Path:
-    """Write record as root's data_design.json."""
-    return write_json(Path(root) / DESIGN_DATA_FILENAME, asdict(record))
-
-
 def load_post_frontend(work_dir: Path) -> DatasetCollection:
     """Rebuild a collection from <work_dir>/*__post_frontend trees.
 
     Directories with a data_design.json come back as ConcreteDesign (without
     the in-memory assignment); anything else is a pass-through AbstractDesign.
-    A data_design.json read_design_record refuses raises its MalformedReport.
+    A data_design.json read_record refuses raises its MalformedReport.
     """
     collection: DatasetCollection = {}
     for name, subs in list_post_frontend(work_dir).items():
         designs = []
         for sub in subs:
-            record = read_design_record(sub)
+            record = read_record(DesignRecord, sub / DESIGN_DATA_FILENAME)
             if record is None:
                 designs.append(AbstractDesign(sub.name, name, sub, list_design_files(sub)))
             else:

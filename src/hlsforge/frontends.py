@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .core import (
     ANCHOR_RE,
+    DESIGN_DATA_FILENAME,
     MANIFEST_FILENAME,
     OPT_RENDERED_FILENAME,
     OPT_TEMPLATE_FILENAME,
@@ -37,9 +38,8 @@ from .core import (
     design_identity,
     list_design_files,
     local_workers,
-    read_design_record,
+    read_record,
     sha256,
-    write_design_record,
     write_json,
 )
 from .errors import (
@@ -130,44 +130,47 @@ def _assignment_entries(assignment: DirectiveAssignment) -> tuple[AssignmentEntr
 def _fresh_copy(src_dir: Path, out_dir: Path, skip: tuple[str, ...] = ()) -> None:
     if out_dir.exists():
         shutil.rmtree(out_dir)
-    shutil.copytree(src_dir, out_dir, ignore=shutil.ignore_patterns(*skip) if skip else None)
+    # shutil.copy keeps each file's mode (a script's exec bit) but not its times
+    shutil.copytree(src_dir, out_dir, ignore=shutil.ignore_patterns(*skip) if skip else None,
+                    copy_function=shutil.copy)
 
 
 def _out_dir(layout: WorkspaceLayout, design: AbstractDesign, design_id: str) -> Path:
     return layout.post_frontend_dir(design.dataset_name) / design_id
 
 
-def _lowering_copy(design: AbstractDesign, assignment: DirectiveAssignment,
-                   layout: WorkspaceLayout, vendor: str) -> tuple[DesignRecord, Path]:
-    """The design's data_design.json record and a fresh copy of its sources minus
-    the template.
+def _lower(design: AbstractDesign, assignment: DirectiveAssignment, layout: WorkspaceLayout,
+           vendor: str, design_id: str) -> ConcreteDesign:
+    """Lower one point as design_id: a fresh copy of the design's sources minus the
+    template, its vendor's directives (opt.tcl or annotated sources), data_design.json.
 
     Raises IdCollision, before touching anything, when the id's directory holds
     a data_design.json with a different assignment.
     """
     if not design.frontend_ready:
         raise MissingTemplate(f"design {design.name!r} has no {OPT_TEMPLATE_FILENAME}")
-    record = DesignRecord(design.name, concrete_design_id(design.name, assignment), vendor,
-                          _assignment_entries(assignment))
-    out_dir = _out_dir(layout, design, record.id)
+    record = DesignRecord(design.name, design_id, vendor, _assignment_entries(assignment))
+    out_dir = _out_dir(layout, design, design_id)
     try:
-        held = read_design_record(out_dir)
+        held = read_record(DesignRecord, out_dir / DESIGN_DATA_FILENAME)
     except MalformedReport:  # nothing readable to keep
         held = None
     if held is not None and held.assignment != record.assignment:
         raise IdCollision(f"{out_dir} already holds another assignment of {design.name!r}")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     _fresh_copy(design.source_dir, out_dir, skip=(OPT_TEMPLATE_FILENAME,))
-    return record, out_dir
+    if vendor == "intel":
+        _annotate(design, assignment, out_dir, design_id)
+    else:
+        (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
+    write_json(out_dir / DESIGN_DATA_FILENAME, record)
+    return ConcreteDesign(design_id, design.name, out_dir, vendor)
 
 
 def lower_xilinx(design: AbstractDesign, assignment: DirectiveAssignment,
                  layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources (minus the template), write canonical opt.tcl and design data."""
-    record, out_dir = _lowering_copy(design, assignment, layout, "xilinx")
-    (out_dir / OPT_RENDERED_FILENAME).write_text(canonical_text(assignment))
-    write_design_record(out_dir, record)
-    return ConcreteDesign(record.id, design.name, out_dir, "xilinx")
+    return _lower(design, assignment, layout, "xilinx", concrete_design_id(design.name, assignment))
 
 
 def map_directive_to_intel(line: DirectiveLine, choice: str,
@@ -190,8 +193,13 @@ def map_directive_to_intel(line: DirectiveLine, choice: str,
 def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
                 layout: WorkspaceLayout) -> ConcreteDesign:
     """Copy sources and inject annotations after each label's anchor comment."""
-    record, out_dir = _lowering_copy(design, assignment, layout, "intel")
+    return _lower(design, assignment, layout, "intel", concrete_design_id(design.name, assignment))
 
+
+def _annotate(design: AbstractDesign, assignment: DirectiveAssignment, out_dir: Path,
+              design_id: str) -> None:
+    """Inject the assignment's annotations into the sources copied to out_dir, and
+    write what each came from as its provenance file."""
     by_label: dict[str, list[str]] = {}
     provenance: list[dict] = []
     widths = None  # each array's elem_bytes, from the manifest once a partition needs them
@@ -235,16 +243,7 @@ def lower_intel(design: AbstractDesign, assignment: DirectiveAssignment,
         missing = ", ".join(sorted(pending))
         raise AnchorNotFound(f"no anchor comment found for label(s): {missing}")
 
-    write_design_record(out_dir, record)
-    write_json(out_dir / PROVENANCE_FILENAME, {"design_id": record.id, "entries": provenance})
-    return ConcreteDesign(record.id, design.name, out_dir, "intel")
-
-
-def _lower(design: AbstractDesign, assignment: DirectiveAssignment, layout: WorkspaceLayout,
-           vendor: str) -> ConcreteDesign:
-    if vendor == "intel":
-        return lower_intel(design, assignment, layout)
-    return lower_xilinx(design, assignment, layout)
+    write_json(out_dir / PROVENANCE_FILENAME, {"design_id": design_id, "entries": provenance})
 
 
 def _design_seed(base_seed: int, design_name: str) -> int:
@@ -293,11 +292,11 @@ def _sample(design: AbstractDesign, config: FrontendConfig) -> tuple[int, list]:
 
 
 def _lower_point(layout: WorkspaceLayout, vendor: str, point: tuple) -> tuple | None:
-    """Lower one (design, assignment): None, or (is an id collision, message).
-    Whatever a failed point left on disk is the parent's to remove."""
-    design, assignment = point
+    """Lower one (design, assignment, the id the parent gave it): None, or (is an id
+    collision, message). Whatever a failed point left on disk is the parent's to remove."""
+    design, assignment, design_id = point
     try:
-        _lower(design, assignment, layout, vendor)
+        _lower(design, assignment, layout, vendor, design_id)
     except IdCollision as exc:
         return True, _failure(exc)
     except Exception as exc:  # per-design isolation: record and move on
@@ -357,7 +356,7 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
                 base.collisions.append(_failure(IdCollision(
                     f"{design_id} is taken by another assignment of {design.name!r}")))
 
-    points = [(base.design, assignment) for base in bases for assignment, _ in base.points]
+    points = [(base.design, *point) for base in bases for point in base.points]
     produced: dict[str, list] = {}
     with closing(fork_imap(partial(_lower_point, layout, config.vendor), points, local_workers(),
                            on_lost=_lose_point)) as outcomes:

@@ -34,7 +34,7 @@ import os
 import re
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .core import (
@@ -55,8 +55,7 @@ from .core import (
     design_identity,
     plain_name,
     ranged,
-    read_declared,
-    read_json,
+    read_record,
     validate_design_files,
     walk_files,
     write_json,
@@ -68,7 +67,6 @@ from .errors import (
     LabelUnknown,
     MalformedReport,
     ManifestMissing,
-    MissingField,
     SynthReportMissing,
 )
 
@@ -135,7 +133,7 @@ class ArraySpec:
 @dataclass(frozen=True)
 class MockManifest:
     """Workload description the mock cost model prices, read by its declaration
-    (core.read_declared): every value must have its field's JSON type and lie in its
+    (core.read_record): every value must have its field's JSON type and lie in its
     field's range, and a key no field declares, such as ``top``, is ignored."""
 
     loops: tuple[LoopSpec, ...]
@@ -150,15 +148,11 @@ class MockManifest:
     def load(cls, design_root: Path) -> "MockManifest":
         path = Path(design_root) / MANIFEST_FILENAME
         try:
-            payload = read_json(path)
+            if (manifest := read_record(cls, path, ignore_unknown=True)) is not None:
+                return manifest
         except MalformedReport as exc:
             raise ManifestMissing(str(exc)) from exc
-        if payload is None:
-            raise ManifestMissing(f"{path} does not exist")
-        try:
-            return read_declared(cls, payload, ignore_unknown=True)
-        except (MissingField, MalformedReport, ValueError) as exc:
-            raise ManifestMissing(f"{path}: {exc}") from exc
+        raise ManifestMissing(f"{path} does not exist")
 
 
 @dataclass(frozen=True)
@@ -499,7 +493,7 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str
         raise SynthReportMissing(f"{report_path} does not exist; run synthesis first") from exc
     manifest = MockManifest.load(root)
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
-    write_json(root / IMPL_REPORT_RELPATH, asdict(metrics))  # hls_prj/ holds the report just read
+    write_json(root / IMPL_REPORT_RELPATH, metrics)  # hls_prj/ holds the report just read
     return (f"mock impl ({constants.version}) on {design_identity(design)}\n"
             f"clock_target_ns={manifest.clock_target_ns} wns_ns={metrics.wns_ns} "
             f"lut={metrics.lut} ff={metrics.ff} power_w={metrics.total_power_w}\n")
@@ -615,29 +609,25 @@ def failed_outcome(spec: ToolFlowSpec, design, exc: Exception, runtime: float = 
                     f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}")
 
 
-def _parse_report(path: Path, parse):
-    """The parsed report, or None when it is absent, unreadable or malformed."""
-    try:
-        return parse(path.read_text())
-    except (OSError, UnicodeDecodeError, HlsForgeError):
-        return None
-
-
 def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "",
                    outcome: FlowOutcome | None = None) -> int:
     """Write the design's data_*.json from its reports; returns how many. An
     absent or unreadable report leaves its section null. The execution section,
     left out without an outcome, records the primary (first) flow's outcome:
     an external flow's runtime as measured, a mock flow's simulated one."""
-    from .aggregate import (ExecutionMeta, MetricsBundle, parse_impl_report,
+    from .aggregate import (ExecutionMeta, ImplMetrics, MetricsBundle,
                             parse_vitis_csynth_report, write_standard_json)
     root = design_dir(design)
-    hls = _parse_report(root / CSYNTH_REPORT_RELPATH, parse_vitis_csynth_report)
-    bundle = MetricsBundle(hls, _parse_report(root / IMPL_REPORT_RELPATH, parse_impl_report))
+    bundle = MetricsBundle()
+    with contextlib.suppress(OSError, UnicodeDecodeError, HlsForgeError):
+        bundle.hls = parse_vitis_csynth_report((root / CSYNTH_REPORT_RELPATH).read_text())
+    with contextlib.suppress(MalformedReport):
+        bundle.impl = read_record(ImplMetrics, root / IMPL_REPORT_RELPATH, ignore_unknown=True)
     if outcome is not None:
         if primary.kind == KIND_EXTERNAL:
             runtime = round(outcome.runtime_s, 6)
         else:
+            hls = bundle.hls
             runtime = simulated_runtime_s(hls.lut, hls.ff) if hls is not None else 0.0
         bundle.execution = ExecutionMeta(primary.name, version, runtime, outcome.status)
     return len(write_standard_json(root, bundle))

@@ -23,6 +23,7 @@ from hlsforge.aggregate import (
     ImplMetrics,
     MetricsBundle,
     aggregate_collection,
+    load_table,
     parse_impl_report,
     parse_vitis_csynth_report,
     read_standard_json,
@@ -325,6 +326,16 @@ UNDECODABLE = b"\xff\xfe\x00"
 MISTYPED = json.dumps({**GOOD_META, "id": 5, "base_name": ["d"], "vendor": 7}).encode()
 
 
+def spoil(path, payload):
+    """Put payload in the file at path, or, when payload is None, a directory there: a
+    file that cannot be opened for reading."""
+    if payload is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(payload)
+
+
 def built_tree(work, meta=GOOD_META):
     """Two built designs; the first is the one the tests spoil."""
     for name in ("d__12345678", "e__87654321"):
@@ -346,11 +357,14 @@ def built_tree(work, meta=GOOD_META):
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "lut": "abc"}).encode()),
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "dsp": True}).encode()),
     ("data_hls.json", json.dumps({"schema_version": 1, **asdict(HLS), "ff": 2.5}).encode()),
+    ("data_design.json", None),
+    ("data_hls.json", None),
 ], ids=["undecodable", "list", "string", "assignment-entry", "mistyped", "hls-string",
-        "hls-undecodable", "hls-string-value", "hls-bool-value", "hls-float-for-int"])
+        "hls-undecodable", "hls-string-value", "hls-bool-value", "hls-float-for-int",
+        "directory", "hls-directory"])
 def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, payload):
     bad = built_tree(tmp_path / "work")
-    (bad / filename).write_bytes(payload)
+    spoil(bad / filename, payload)
     rows = aggregate_collection(tmp_path / "work").rows
     assert [(row.design_id, row.base_name) for row in rows] == [("d__12345678", "d"),
                                                                 ("e__87654321", "d")]
@@ -362,14 +376,20 @@ def test_one_bad_sidecar_leaves_its_row_with_null_sections(tmp_path, filename, p
     else:
         assert row.vendor == "xilinx" and row.max_unroll == 4
         assert not row.has_hls and row.has_impl
+    # hlsforge aggregate writes the same rows and exits 0
+    config, table = tmp_path / "run.json", tmp_path / "table.csv"
+    config.write_text(json.dumps({"work_dir": str(tmp_path / "work"), "flows": []}))
+    assert main(["aggregate", "--config", str(config), "--out", str(table)]) == 0
+    assert load_table(table).rows == rows
 
 
 @pytest.mark.parametrize("payload", [UNDECODABLE, b"[1, 2]", b'"x"', b'{"id": "d__12345678"}',
-                                     MISTYPED],
-                         ids=["undecodable", "list", "string", "no-base-name", "mistyped"])
+                                     MISTYPED, None],
+                         ids=["undecodable", "list", "string", "no-base-name", "mistyped",
+                              "directory"])
 def test_build_reports_a_malformed_design_file(tmp_path, capsys, payload):
     bad = built_tree(tmp_path / "work")
-    (bad / "data_design.json").write_bytes(payload)
+    spoil(bad / "data_design.json", payload)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"work_dir": str(tmp_path / "work"),
                                   "flows": [{"type": "mock_synth"}]}))
@@ -377,6 +397,12 @@ def test_build_reports_a_malformed_design_file(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedReport: ")
     assert str(bad / "data_design.json") in err
+    # aggregation keeps the design's row, its id and base name from the directory name
+    table = tmp_path / "table.csv"
+    assert main(["aggregate", "--config", str(config), "--out", str(table)]) == 0
+    rows = load_table(table).rows
+    assert [(row.design_id, row.base_name, row.vendor) for row in rows] \
+        == [("d__12345678", "d", None), ("e__87654321", "d", "xilinx")]
 
 
 def test_each_chain_writes_its_own_sidecars(tmp_path):

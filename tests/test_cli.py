@@ -135,9 +135,13 @@ def test_load_run_config_rejects_broken_files(tmp_path):
         load_run_config(listy)
 
 
-def test_an_undecodable_config_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", None], ids=["undecodable", "directory"])
+def test_an_undecodable_config_is_a_config_error(tmp_path, capsys, content):
     config = tmp_path / "run.json"
-    config.write_bytes(b"\xff\xfe\x00")
+    if content is None:  # a file that cannot be opened for reading
+        config.mkdir()
+    else:
+        config.write_bytes(content)
     assert main(["build", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: config file {config}: ")
 
@@ -359,6 +363,19 @@ def test_an_unreadable_table_is_a_malformed_report(tmp_path, capsys, command, na
     argv = ["regress", str(bad), str(good)] if command == "regress" else ["stats", str(bad)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: MalformedReport: table file {bad}: ")
+
+
+@pytest.mark.parametrize("kind", ["absent", "directory"])
+@pytest.mark.parametrize("command", ["regress", "stats"])
+def test_a_table_that_cannot_be_opened_is_unreadable(tmp_path, capsys, command, kind):
+    good = export_tabular(AggregatedTable([AggregatedRow(design_id="a", hls_lut=1)]),
+                          tmp_path / "good.csv")
+    bad = tmp_path / "bad.csv"
+    if kind == "directory":
+        bad.mkdir()
+    argv = ["regress", str(bad), str(good)] if command == "regress" else ["stats", str(bad)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: SourceUnreadable: table file {bad}: ")
 
 
 def test_demo_smoke(tmp_path, capsys):

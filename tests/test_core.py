@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
 
 from hlsforge.core import (
     AbstractDesign,
+    AssignmentEntry,
     ConcreteDesign,
     DesignDataset,
+    DesignRecord,
     WorkspaceLayout,
     concrete_design_id,
     design_dir,
@@ -20,6 +22,7 @@ from hlsforge.core import (
     load_dataset,
     read_declared,
     read_json,
+    read_record,
     validate_design_files,
     walk_files,
     write_json,
@@ -144,13 +147,37 @@ def test_write_json_layout_and_read_json_round_trip(tmp_path):
     assert read_json(tmp_path / "absent.json") is None
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"{nope", b"[1, 2]", b'"x"', b"null"],
-                         ids=["undecodable", "invalid", "list", "string", "null"])
+def test_write_json_writes_a_record_as_its_fields_and_read_record_reads_it_back(tmp_path):
+    from hlsforge.aggregate import ImplMetrics
+    from hlsforge.toolflows import ArraySpec, LoopSpec, MockManifest
+    entry = AssignmentEntry("g", "lp1", 0, "unroll", "4")
+    records = [
+        DesignRecord("d", "d__12345678", "xilinx", (entry, AssignmentEntry("g", "a", 1, "x", ""))),
+        DesignRecord("d", "d__00000000", "intel", ()),
+        MockManifest((LoopSpec("lp1", 64, 4, 1),), 100, 80, (ArraySpec("buf", 64, 4),), 5.0),
+        MockManifest((), 0, 0),
+        ImplMetrics(6.5, 0.1, 90, 72, 1, 2, 0.6),
+    ]
+    for record in records:
+        path = write_json(tmp_path / "record.json", record)
+        # the bytes json writes for a deep copy of the record's fields
+        assert path.read_text() == json.dumps(asdict(record), indent=2) + "\n"
+        assert read_record(type(record), path) == record
+    assert read_record(DesignRecord, tmp_path / "absent.json") is None
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"{nope", b"[1, 2]", b'"x"', b"null", None],
+                         ids=["undecodable", "invalid", "list", "string", "null", "directory"])
 def test_read_json_names_the_file_it_cannot_read_as_an_object(tmp_path, content):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is None:  # an OSError other than FileNotFoundError
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     with pytest.raises(MalformedReport, match=f"^{path}: "):
         read_json(path)
+    with pytest.raises(MalformedReport, match=f"^{path}: "):
+        read_record(DesignRecord, path)
 
 
 def test_walk_files_yields_paths_in_sorted_order(tmp_path):

@@ -469,8 +469,8 @@ def test_an_id_held_on_disk_by_another_assignment_is_refused(tmp_path, monkeypat
     assert tree_bytes(kept.dir) == before
 
 
-@pytest.mark.parametrize("payload", [b"[1, 2]", b"{nope", b"\xff\xfe\x00"],
-                         ids=["non-object", "invalid", "undecodable"])
+@pytest.mark.parametrize("payload", [b"[1, 2]", b"{nope", b"\xff\xfe\x00", None],
+                         ids=["non-object", "invalid", "undecodable", "directory"])
 def test_reexpanding_over_an_unreadable_design_file_keeps_the_base(tmp_path, payload):
     root = tmp_path / "ds"
     make_design(root, "d")
@@ -480,7 +480,11 @@ def test_reexpanding_over_an_unreadable_design_file_keeps_the_base(tmp_path, pay
     ids = [design.id for design in first.collection["ds__post_frontend"].designs]
     spoiled = first.collection["ds__post_frontend"].designs[0].dir / "data_design.json"
     intact = spoiled.read_bytes()
-    spoiled.write_bytes(payload)
+    if payload is None:  # a file that cannot be opened for reading
+        spoiled.unlink()
+        spoiled.mkdir()
+    else:
+        spoiled.write_bytes(payload)
 
     again = execute_frontend({"ds": load_dataset(root)}, config, layout)
 
@@ -489,6 +493,26 @@ def test_reexpanding_over_an_unreadable_design_file_keeps_the_base(tmp_path, pay
     assert sorted(path.name for path in (tmp_path / "w" / "ds__post_frontend").iterdir()) \
         == sorted(ids)
     assert spoiled.read_bytes() == intact
+
+
+@pytest.mark.parametrize("vendor", ["xilinx", "intel"])
+def test_a_lowered_copy_keeps_the_exec_bit_of_a_script(tmp_path, vendor):
+    root = tmp_path / "ds"
+    script = make_design(root, "d", extra={"scripts/run.sh": "#!/bin/sh\nexit 0\n"}) \
+        / "scripts" / "run.sh"
+    script.chmod(0o750)
+    make_design(root, "p", template=None, extra={"run.sh": "#!/bin/sh\nexit 0\n"})
+    (root / "p" / "run.sh").chmod(0o755)
+    result = execute_frontend({"ds": load_dataset(root)},
+                              FrontendConfig(vendor=vendor, n_samples=2, seed=1),
+                              WorkspaceLayout(tmp_path / "w"))
+    assert not result.failures
+    *lowered, passed = sorted((tmp_path / "w" / "ds__post_frontend").iterdir())
+    assert [out_dir.name.split("__")[0] for out_dir in lowered] == ["d", "d"]
+    for out_dir in lowered:
+        assert (out_dir / "scripts" / "run.sh").stat().st_mode & 0o777 == 0o750
+        assert (out_dir / "d.c").stat().st_mode == (root / "d" / "d.c").stat().st_mode
+    assert (passed / "run.sh").stat().st_mode & 0o777 == 0o755
 
 
 def test_a_lowering_error_in_the_pool_leaves_other_bases_lowered(tmp_path, monkeypatch):
@@ -530,8 +554,8 @@ def test_a_failed_design_leaves_only_the_directories_it_was_refused(tmp_path, mo
     before = tree_bytes(held.dir)
     lower = frontends._lower
 
-    def lower_then_fail(design, assignment, layout, vendor):
-        concrete = lower(design, assignment, layout, vendor)
+    def lower_then_fail(design, assignment, layout, vendor, design_id):
+        concrete = lower(design, assignment, layout, vendor, design_id)
         if canonical_text(assignment) == canonical_text(failing):
             raise RuntimeError("failed after the copy")
         return concrete

@@ -119,14 +119,14 @@ def test_a_lowering_whose_worker_dies_fails_that_point_and_leaves_no_directory(
     monkeypatch.setattr(frontends, "local_workers", lambda: 2)
     lower = frontends._lower
 
-    def lower_or_die(design, assignment, layout, vendor):
+    def lower_or_die(design, assignment, layout, vendor, design_id):
         if design.name == "m" and not (tmp_path / "killed").exists():
             (tmp_path / "killed").touch()  # one point only: the fresh worker lowers on
             out = frontends._out_dir(layout, design, frontends.concrete_design_id(
                 design.name, assignment))
             shutil.copytree(design.source_dir, out)  # half-lowered, then lost
             os.kill(os.getpid(), signal.SIGKILL)
-        return lower(design, assignment, layout, vendor)
+        return lower(design, assignment, layout, vendor, design_id)
 
     monkeypatch.setattr(frontends, "_lower", lower_or_die)
     root = tmp_path / "ds"

@@ -14,7 +14,8 @@ import typing
 import pytest
 
 from hlsforge.cli import _RunFile, main
-from hlsforge.core import DesignRecord, FrontendConfig, Range, read_design_record
+from hlsforge import core
+from hlsforge.core import DesignRecord, FrontendConfig, Range
 from hlsforge.errors import MalformedReport, ManifestMissing
 from hlsforge.toolflows import FLOW_ENTRIES, MockManifest
 from conftest import SIMPLE_MANIFEST
@@ -101,7 +102,9 @@ def read_record(tmp_path, capsys, path: str, value) -> str:
     entry = {"group": "g", "label": "lp1", "line_index": 0, "directive": "unroll", "choice": "2"}
     payload = set_path({"base_name": "d", "id": "d__00000000", "vendor": "xilinx",
                         "assignment": [entry]}, path, value)
-    return read_file(tmp_path, "data_design.json", payload, read_design_record, MalformedReport)
+    return read_file(tmp_path, "data_design.json", payload,
+                     lambda root: core.read_record(DesignRecord, root / "data_design.json"),
+                     MalformedReport)
 
 
 READERS = {"config": read_config, "manifest": read_manifest, "record": read_record}
