@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("aggregate", "AggregatedRow AggregatedTable ExecutionMeta HlsSynthMetrics ImplMetrics "
                   "MetricsBundle aggregate_collection archive_dataset export_tabular "
-                  "import_external_dataset load_table parse_impl_report "
-                  "parse_vitis_csynth_report write_standard_json"),
+                  "import_external_dataset load_table parse_vitis_csynth_report "
+                  "write_standard_json"),
     ("analysis", "CoverageSummary RegressionReport WilcoxonResult compare_tool_versions "
                  "compute_r2 compute_rae coverage_summary histogram wilcoxon_signed_rank"),
     ("core", "AbstractDesign ConcreteDesign DatasetCollection DesignDataset FrontendConfig "

@@ -30,6 +30,8 @@ from .core import (  # the report paths live in core, which the set-up path load
     IMPL_REPORT_RELPATH,
     SOURCE_SUFFIXES,
     DESIGN_DATA_FILENAME,
+    OPT_RENDERED_FILENAME,
+    TIMELINE_FILENAME,
     AssignmentEntry,
     DesignRecord,
     list_post_frontend,
@@ -102,6 +104,7 @@ class MetricsBundle:
 _SECTIONS = (("hls", HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
              ("impl", ImplMetrics, "impl_", IMPL_DATA_FILENAME),
              ("execution", ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
+SIDECAR_FILENAMES = tuple(filename for *_, filename in _SECTIONS)
 
 
 # field name -> plain type, in field order; ``int | None`` gives int
@@ -207,16 +210,39 @@ def parse_vitis_csynth_report(xml_text: str) -> HlsSynthMetrics:
         uram=_resource_value(resources, "URAM"))
 
 
-def parse_impl_report(json_text: str) -> ImplMetrics:
-    """Parse an impl_report.json, an object read as ImplMetrics declares
-    (core.read_declared): a key no field declares is ignored, each field must hold
-    a value of its JSON type, and an integer in a float field is read as a float.
-    Raises MissingField or MalformedReport."""
-    try:
-        payload = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedReport(f"impl report is not valid JSON: {exc}") from exc
-    return read_declared(ImplMetrics, payload, ignore_unknown=True)
+_CSYNTH_XML = """<?xml version='1.0' encoding='utf-8'?>
+<profile>
+  <PerformanceEstimates>
+    <SummaryOfOverallLatency>
+      <Best-caseLatency>{0}</Best-caseLatency>
+      <Average-caseLatency>{1}</Average-caseLatency>
+      <Worst-caseLatency>{2}</Worst-caseLatency>
+    </SummaryOfOverallLatency>
+    <SummaryOfTimingAnalysis>
+      <EstimatedClockPeriod>{clock_estimate_ns!r}</EstimatedClockPeriod>
+    </SummaryOfTimingAnalysis>
+  </PerformanceEstimates>
+  <AreaEstimates>
+    <Resources>
+      <LUT>{lut}</LUT>
+      <FF>{ff}</FF>
+      <DSP>{dsp}</DSP>
+      <BRAM_18K>{bram}</BRAM_18K>
+      <URAM>{uram}</URAM>
+    </Resources>
+  </AreaEstimates>
+</profile>
+"""
+
+
+def write_vitis_csynth_report(path: Path, metrics: HlsSynthMetrics) -> None:
+    """Write metrics in one write as _CSYNTH_XML, csynth.xml as ElementTree.indent lays it out:
+    the latencies in order (undef when null), the rest by field name; makes path's directories."""
+    latencies = ["undef" if value is None else value for value in (
+        metrics.latency_best_cycles, metrics.latency_avg_cycles, metrics.latency_worst_cycles)]
+    os.makedirs(path.parent, exist_ok=True)
+    with open(path, "wb") as report:
+        report.write(_CSYNTH_XML.format(*latencies, **metrics.__dict__).encode())
 
 
 def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
@@ -496,7 +522,7 @@ def _archived(rel: str, include_artifacts: bool) -> bool:
     if _ARTIFACT_DIR in parts:
         return include_artifacts
     name = parts[-1]
-    return (name == "timeline.json" or name == "opt.tcl"
+    return (name in (TIMELINE_FILENAME, OPT_RENDERED_FILENAME)
             or (name.startswith("data_") and name.endswith(".json"))
             # as in Path.suffix, a leading dot starts no suffix: ".c" has none
             or name[1:].endswith(_ARCHIVED_SUFFIXES))

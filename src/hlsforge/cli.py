@@ -27,6 +27,7 @@ from .core import (
     AT_LEAST_1,
     POST_FRONTEND_SUFFIX,
     STRATEGIES,
+    TIMELINE_FILENAME,
     DatasetCollection,
     FrontendConfig,
     WorkspaceLayout,
@@ -211,7 +212,7 @@ def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: s
     """Run the flows, write timeline.json and print a summary."""
     from .executor import write_timeline
     results, timeline = run_flows(collection, specs, strategy, n_workers, pin_cores)
-    write_timeline(work_dir / "timeline.json", timeline)
+    write_timeline(work_dir / TIMELINE_FILENAME, timeline)
     for flow_name, by_design in results.items():
         counts = Counter(outcome.status for outcome in by_design.values())
         summary = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
@@ -242,7 +243,7 @@ def cmd_build(args) -> int:
     timeline = _build(collection, specs, config.strategy, config.n_workers, config.pin_cores,
                       config.work_dir)
     n_designs = sum(len(ds.designs) for ds in collection.values())
-    print(f"{n_designs} designs processed; timeline at {config.work_dir / 'timeline.json'}")
+    print(f"{n_designs} designs processed; timeline at {config.work_dir / TIMELINE_FILENAME}")
     if args.utilization_csv:
         with open(args.utilization_csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=("worker", "n_jobs", "busy_s", "span_s"),
@@ -442,7 +443,7 @@ def main(argv=None) -> int:
     except (NoPairs, EmptyDataset, MissingDirectory) as exc:
         print(f"no data: {exc}", file=sys.stderr)
         return 4
-    except HlsForgeError as exc:
+    except (HlsForgeError, OSError) as exc:  # an OSError names its file: an unwritable output
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ OPT_TEMPLATE_FILENAME = "opt_template.tcl"
 OPT_RENDERED_FILENAME = "opt.tcl"
 DESIGN_DATA_FILENAME = "data_design.json"
 MANIFEST_FILENAME = "mock_manifest.json"
+TIMELINE_FILENAME = "timeline.json"  # a build's, in the work directory
 # where the synthesis and implementation reports sit in a design directory
 CSYNTH_REPORT_RELPATH = "hls_prj/solution1/syn/report/csynth.xml"
 IMPL_REPORT_RELPATH = "hls_prj/impl_report.json"

@@ -86,8 +86,7 @@ def _finish(design, flows: tuple, version: str, steps: list) -> list:
             outcome, start, end = steps[0]
             write_log(outcome.log_path, f"extraction failed: {type(exc).__name__}: {exc}\n", "a")
             steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
-            for name in (aggregate.HLS_DATA_FILENAME, aggregate.IMPL_DATA_FILENAME,
-                         aggregate.EXECUTION_DATA_FILENAME):
+            for name in aggregate.SIDECAR_FILENAMES:
                 with suppress(OSError):  # best effort: the failed flow already says why
                     (design_dir(design) / name).unlink(missing_ok=True)
     return [(outcome.status, outcome.runtime_s, start, end) for outcome, start, end in steps]

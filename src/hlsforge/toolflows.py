@@ -19,10 +19,10 @@ Implementation mock: each resource is round(impl_scale * hls value), wns_ns is
 clock_target - clock_est - wns_lut_coeff * log2(1 + lut/1000), and power is
 power_base_w + lut * power_lut_w + dsp * power_dsp_w.
 
-Building specs loads none of what only a run needs: aggregate's report schema
-and parsers, and ElementTree, are imported where a mock flow or extract_design
-runs; subprocess, signal and pool where a tool runs; traceback where a flow
-fails. The executor loads them all before its pool forks.
+Building specs loads none of what only a run needs: aggregate's report schema,
+parser and writer are imported where a mock flow or extract_design runs;
+subprocess, signal and pool where a tool runs; traceback where a flow fails.
+The executor loads them all before its pool forks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .core import (
     FINITE_ABOVE_0,
     IMPL_REPORT_RELPATH,
     MANIFEST_FILENAME,
+    OPT_RENDERED_FILENAME,
     SOURCE_SUFFIXES,
     Range,
     check_ranges,
@@ -334,7 +335,7 @@ def extract_directives(design_root: Path) -> DirectiveProfile:
     pipelined (the i++ default). A tree with neither yields no directives.
     """
     design_root = Path(design_root)
-    opt_path = design_root / "opt.tcl"
+    opt_path = design_root / OPT_RENDERED_FILENAME
     unroll: dict = {}
     pipelined: set = set()
     banks: dict = {}
@@ -438,30 +439,6 @@ def compute_mock_impl_metrics(hls: HlsSynthMetrics, clock_target_ns: float,
         total_power_w=power)
 
 
-def _write_csynth_xml(path: Path, metrics: HlsSynthMetrics) -> None:
-    from xml.etree import ElementTree
-
-    def latency_text(value: int | None) -> str:
-        return "undef" if value is None else str(value)
-
-    root = ElementTree.Element("profile")
-    perf = ElementTree.SubElement(root, "PerformanceEstimates")
-    lat = ElementTree.SubElement(perf, "SummaryOfOverallLatency")
-    ElementTree.SubElement(lat, "Best-caseLatency").text = latency_text(metrics.latency_best_cycles)
-    ElementTree.SubElement(lat, "Average-caseLatency").text = latency_text(metrics.latency_avg_cycles)
-    ElementTree.SubElement(lat, "Worst-caseLatency").text = latency_text(metrics.latency_worst_cycles)
-    timing = ElementTree.SubElement(perf, "SummaryOfTimingAnalysis")
-    ElementTree.SubElement(timing, "EstimatedClockPeriod").text = repr(metrics.clock_estimate_ns)
-    area = ElementTree.SubElement(root, "AreaEstimates")
-    resources = ElementTree.SubElement(area, "Resources")
-    for tag, value in (("LUT", metrics.lut), ("FF", metrics.ff), ("DSP", metrics.dsp),
-                       ("BRAM_18K", metrics.bram), ("URAM", metrics.uram)):
-        ElementTree.SubElement(resources, tag).text = str(value)
-    ElementTree.indent(root, space="  ")
-    os.makedirs(path.parent, exist_ok=True)
-    path.write_bytes(ElementTree.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n")
-
-
 def simulated_runtime_s(lut: int, ff: int) -> float:
     """Deterministic stand-in runtime so mock runs reproduce byte-identically."""
     return round((lut + ff) / 50000.0, 6)
@@ -469,11 +446,12 @@ def simulated_runtime_s(lut: int, ff: int) -> float:
 
 def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants()) -> str:
     """Price the design and write hls_prj/solution1/syn/report/csynth.xml; returns the log text."""
+    from .aggregate import write_vitis_csynth_report
     root = design_dir(design)
     manifest = MockManifest.load(root)
     profile = extract_directives(root)
     metrics = compute_mock_synth_metrics(manifest, profile, constants)
-    _write_csynth_xml(root / CSYNTH_REPORT_RELPATH, metrics)
+    write_vitis_csynth_report(root / CSYNTH_REPORT_RELPATH, metrics)
     return (f"mock hls synth ({constants.version}) on {design_identity(design)}\n"
             f"directive source: {profile.mode}\n"
             f"unroll={dict(sorted(profile.unroll.items()))} "

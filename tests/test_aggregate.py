@@ -27,15 +27,14 @@ from hlsforge.aggregate import (
     export_tabular,
     import_external_dataset,
     load_table,
-    parse_impl_report,
     parse_vitis_csynth_report,
     read_standard_json,
     row_from_design_dir,
     write_standard_json,
     _archived,
 )
-from hlsforge.core import walk_files
-from hlsforge.errors import MalformedReport, MalformedSpec, MissingDirectory, MissingField, SourceUnreadable
+from hlsforge.core import read_record, walk_files
+from hlsforge.errors import MalformedReport, MalformedSpec, MissingDirectory, SourceUnreadable
 
 GOOD_XML = """\
 <?xml version="1.0"?>
@@ -94,17 +93,24 @@ def test_parse_csynth_rejects_malformed():
         parse_vitis_csynth_report(GOOD_XML.replace("<LUT>600</LUT>", "<LUT>lots</LUT>"))
 
 
-def test_parse_impl_report():
+def read_impl_report(tmp_path, text: str) -> ImplMetrics:
+    """text, written as an impl_report.json, read back by its one reader."""
+    path = tmp_path / "impl_report.json"
+    path.write_text(text)
+    return read_record(ImplMetrics, path, ignore_unknown=True)
+
+
+def test_read_impl_report(tmp_path):
     payload = {"wns_ns": 6.5, "whs_ns": 0.1, "lut": 540, "ff": 342, "dsp": 4, "bram": 1,
                "total_power_w": 0.51}
-    metrics = parse_impl_report(json.dumps(payload))
+    metrics = read_impl_report(tmp_path, json.dumps(payload))
     assert metrics == ImplMetrics(6.5, 0.1, 540, 342, 4, 1, 0.51)
-    with pytest.raises(MissingField):
-        parse_impl_report(json.dumps({"wns_ns": 1.0}))
+    with pytest.raises(MalformedReport, match="lacks required field"):
+        read_impl_report(tmp_path, json.dumps({"wns_ns": 1.0}))
     with pytest.raises(MalformedReport):
-        parse_impl_report("{bad json")
+        read_impl_report(tmp_path, "{bad json")
     with pytest.raises(MalformedReport):
-        parse_impl_report("[1, 2]")
+        read_impl_report(tmp_path, "[1, 2]")
 
 
 def sample_bundle() -> MetricsBundle:
@@ -550,9 +556,9 @@ IMPL_PAYLOAD = {"wns_ns": 6.5, "whs_ns": 0.1, "lut": 540, "ff": 342, "dsp": 4, "
     ("lut", "540"), ("dsp", None), ("bram", [1]),
 ], ids=["float-string", "float-null", "float-bool", "int-float", "int-bool", "int-string",
         "int-null", "int-list"])
-def test_parse_impl_report_rejects_a_value_of_the_wrong_type(name, value):
+def test_read_impl_report_rejects_a_value_of_the_wrong_type(tmp_path, name, value):
     with pytest.raises(MalformedReport, match=repr(name)):
-        parse_impl_report(json.dumps({**IMPL_PAYLOAD, name: value}))
+        read_impl_report(tmp_path, json.dumps({**IMPL_PAYLOAD, name: value}))
 
 
 def test_a_sidecar_integer_reads_as_a_float_where_a_float_is_due(tmp_path):
@@ -567,11 +573,11 @@ def test_a_sidecar_integer_reads_as_a_float_where_a_float_is_due(tmp_path):
     assert dict(zip(header.split(","), cells.split(",")))["impl_wns_ns"] == "1.0"
 
 
-def test_parse_impl_report_ignores_a_key_it_does_not_read():
-    assert parse_impl_report(json.dumps({**IMPL_PAYLOAD, "tool": "vivado"})) == \
-        parse_impl_report(json.dumps(IMPL_PAYLOAD))
+def test_read_impl_report_ignores_a_key_it_does_not_read(tmp_path):
+    assert read_impl_report(tmp_path, json.dumps({**IMPL_PAYLOAD, "tool": "vivado"})) == \
+        read_impl_report(tmp_path, json.dumps(IMPL_PAYLOAD))
 
 
-def test_parse_impl_report_reads_an_integer_as_a_float_field():
-    metrics = parse_impl_report(json.dumps({**IMPL_PAYLOAD, "wns_ns": 6}))
+def test_read_impl_report_reads_an_integer_as_a_float_field(tmp_path):
+    metrics = read_impl_report(tmp_path, json.dumps({**IMPL_PAYLOAD, "wns_ns": 6}))
     assert metrics.wns_ns == 6.0 and isinstance(metrics.wns_ns, float)

@@ -126,7 +126,7 @@ print(json.dumps({"designs": n_designs, "calls": calls, "files": files,
 CALLS_311 = {
     "expand": 1404.52,
     "load_post_frontend": 97.5,
-    "build": 2062.12,
+    "build": 1618.12,
     "aggregate": 408.23,
     "export": 72.85,
     "archive": 439.35,

@@ -24,14 +24,13 @@ from hlsforge.aggregate import (
     MetricsBundle,
     aggregate_collection,
     load_table,
-    parse_impl_report,
     parse_vitis_csynth_report,
     read_standard_json,
     row_from_design_dir,
     write_standard_json,
 )
 from hlsforge.cli import build_flow_specs, bundled_designs_dir, extract_reports, main, run_flows
-from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend
+from hlsforge.core import WorkspaceLayout, load_dataset, load_post_frontend, read_record
 from hlsforge.executor import execute
 from hlsforge.frontends import FrontendConfig, execute_frontend
 from hlsforge.toolflows import (
@@ -416,7 +415,8 @@ def test_each_chain_writes_its_own_sidecars(tmp_path):
         assert bundle.execution.tool_version == "mock-2024.1"
         assert bundle.hls == parse_vitis_csynth_report(
             (design.dir / CSYNTH_REPORT_RELPATH).read_text())
-        assert bundle.impl == parse_impl_report((design.dir / IMPL_REPORT_RELPATH).read_text())
+        assert bundle.impl == read_record(ImplMetrics, design.dir / IMPL_REPORT_RELPATH,
+                                          ignore_unknown=True)
 
 
 def test_extract_reports_after_run_flows_writes_nothing(tmp_path):
@@ -442,7 +442,7 @@ def test_extract_reports_rewrites_a_tree_built_elsewhere(tmp_path):
     assert extract_reports(collection, specs, {}) == 2 * len(designs)
     for design in designs:
         hls = parse_vitis_csynth_report((design.dir / CSYNTH_REPORT_RELPATH).read_text())
-        impl = parse_impl_report((design.dir / IMPL_REPORT_RELPATH).read_text())
+        impl = read_record(ImplMetrics, design.dir / IMPL_REPORT_RELPATH, ignore_unknown=True)
         assert read_standard_json(design.dir) == MetricsBundle(hls, impl)
         assert not (design.dir / "data_execution.json").exists()
 

@@ -249,6 +249,42 @@ def test_end_to_end_subcommands(pipeline, tmp_path, capsys):
     assert not report["metrics"]["hls_lut"]["significant"]
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["stats", "{table}", "--json"], "blocked"),
+    (["regress", "{table}", "{table}", "--json"], "blocked"),
+    (["aggregate", "--config", "{config}", "--out"], "blocked"),
+    (["aggregate", "--config", "{config}", "--archive"], "blocked"),
+    (["build", "--config", "{config}", "--utilization-csv"], "blocked"),
+    (["build", "--config", "{config}"], "work/timeline.json"),
+    (["aggregate", "--config", "{config}", "--out"], "missing/x.csv"),
+], ids=["stats-json", "regress-json", "aggregate-out", "aggregate-archive",
+        "build-utilization-csv", "build-timeline", "aggregate-out-missing-dir"])
+def test_an_output_a_command_cannot_write_ends_it_with_exit_1(pipeline, tmp_path, capsys,
+                                                              argv, output):
+    """A directory where the output goes, or a missing directory above it: one error
+    line naming the path, and no temporary file left behind."""
+    config, work = pipeline
+    assert main(["expand", "--config", str(config)]) == 0
+    rows = [AggregatedRow(design_id=name, base_name="a", hls_lut=lut)
+            for name, lut in (("a", 1), ("b", 3))]
+    table = export_tabular(AggregatedTable(rows), tmp_path / "t.csv")
+    target = tmp_path / output
+    argv = [arg.format(table=table, config=config) for arg in argv]
+    if output == "missing/x.csv":  # the temp file the output is written to names it
+        named = f"'{target.parent}/.{target.name}."
+        argv.append(str(target))
+    else:
+        target.mkdir()
+        named = f"'{target}'"
+        if target.parent != work:
+            argv.append(str(target))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and named in err, err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_expand_reports_failures(tmp_path, capsys):
     source = tmp_path / "src_ds"
     make_design(source, "bad",

@@ -31,7 +31,7 @@ compare_tool_versions compute_r2 compute_rae concrete_design_id coverage_summary
 enumerate_design_space execute execute_frontend export_tabular histogram
 import_external_dataset iter_assignments load_dataset load_post_frontend load_table
 lower_intel lower_xilinx map_directive_to_intel mock_hls_synth mock_impl mock_impl_flow
-mock_synth_flow parse_impl_report parse_opt_template parse_vitis_csynth_report
+mock_synth_flow parse_opt_template parse_vitis_csynth_report
 render_assignment run_flow sample_assignments simulate_schedule validate_design_files
 wilcoxon_signed_rank write_standard_json
 """.split()
@@ -86,6 +86,28 @@ print(sorted(m for m in sys.modules if m.startswith("hlsforge")))
                                         "hlsforge.toolflows"]
 
 
+# every module, of the standard library included, that importing the CLI loads
+CLI_MODULES_311 = """
+__future__ _ast _csv _json _opcode _sha256 argparse ast copy csv dataclasses dis gettext
+hlsforge hlsforge.cli hlsforge.core hlsforge.errors hlsforge.optdsl hlsforge.toolflows
+importlib.machinery inspect json json.decoder json.encoder json.scanner linecache opcode token
+tokenize
+""".split()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the standard library's own "
+                                                             "imports differ by version")
+def test_importing_the_cli_loads_only_its_pinned_modules():
+    """What every command pays before it runs: a module added here is start-up time
+    spent by each command, the benchmark's set-up included."""
+    script = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nbefore = set(sys.modules)\n"
+              f"import hlsforge.cli\nprint(sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert eval(done.stdout) == sorted(CLI_MODULES_311)
+
+
 def test_reading_a_run_config_loads_only_the_set_up_path(tmp_path):
     """Reading a config loads nothing only a command's run needs: aggregate calls
     load_run_config, and the benchmark's set-up calls build_flow_specs."""
@@ -109,7 +131,7 @@ print(sorted(m for m in sys.modules if m.startswith("hlsforge")))
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 60 and sorted(hlsforge.__all__) == sorted(["__version__", *EXPORTED])
+    assert len(EXPORTED) == 59 and sorted(hlsforge.__all__) == sorted(["__version__", *EXPORTED])
     names = dir(hlsforge)
     for name in EXPORTED:
         assert name in names

@@ -13,6 +13,7 @@ from hlsforge.aggregate import (
     IMPL_REPORT_RELPATH,
     HlsSynthMetrics,
     parse_vitis_csynth_report,
+    write_vitis_csynth_report,
 )
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.errors import ExecutableNotFound, LabelUnknown, ManifestMissing, SynthReportMissing
@@ -39,7 +40,6 @@ from hlsforge.toolflows import (
     run_flow,
     simulated_runtime_s,
     tool_version,
-    _write_csynth_xml,
 )
 from conftest import SIMPLE_MANIFEST, make_design
 
@@ -313,14 +313,34 @@ PINNED_CSYNTH_XML = (
     b"      <BRAM_18K>2</BRAM_18K>\n      <URAM>0</URAM>\n    </Resources>\n"
     b"  </AreaEstimates>\n</profile>\n")
 
+# no latency, a clock in exponent notation, a 41-digit LUT count: 660 bytes, as
+# ElementTree wrote them (sha256 d639e31b...331e347e)
+PINNED_CSYNTH_XML_UNDEF = (
+    b"<?xml version='1.0' encoding='utf-8'?>\n<profile>\n  <PerformanceEstimates>\n"
+    b"    <SummaryOfOverallLatency>\n      <Best-caseLatency>undef</Best-caseLatency>\n"
+    b"      <Average-caseLatency>undef</Average-caseLatency>\n"
+    b"      <Worst-caseLatency>undef</Worst-caseLatency>\n    </SummaryOfOverallLatency>\n"
+    b"    <SummaryOfTimingAnalysis>\n"
+    b"      <EstimatedClockPeriod>1e-07</EstimatedClockPeriod>\n"
+    b"    </SummaryOfTimingAnalysis>\n  </PerformanceEstimates>\n  <AreaEstimates>\n"
+    b"    <Resources>\n      <LUT>10000000000000000000000000000000000000000</LUT>\n"
+    b"      <FF>0</FF>\n      <DSP>0</DSP>\n"
+    b"      <BRAM_18K>0</BRAM_18K>\n      <URAM>7</URAM>\n    </Resources>\n"
+    b"  </AreaEstimates>\n</profile>\n")
 
-def test_csynth_xml_bytes_are_pinned(tmp_path):
-    metrics = HlsSynthMetrics(latency_best_cycles=120, latency_avg_cycles=None,
-                              latency_worst_cycles=240, ii=None, clock_estimate_ns=3.3 + 1 / 3,
-                              lut=1234, ff=987, dsp=4, bram=2, uram=0)
+
+@pytest.mark.parametrize("metrics, pinned", [
+    (HlsSynthMetrics(latency_best_cycles=120, latency_avg_cycles=None,
+                     latency_worst_cycles=240, ii=None, clock_estimate_ns=3.3 + 1 / 3,
+                     lut=1234, ff=987, dsp=4, bram=2, uram=0), PINNED_CSYNTH_XML),
+    (HlsSynthMetrics(latency_best_cycles=None, latency_avg_cycles=None,
+                     latency_worst_cycles=None, ii=None, clock_estimate_ns=1e-07,
+                     lut=10**40, ff=0, dsp=0, bram=0, uram=7), PINNED_CSYNTH_XML_UNDEF),
+], ids=["mixed", "undef-exponent-bignum"])
+def test_csynth_xml_bytes_are_pinned(tmp_path, metrics, pinned):
     path = tmp_path / "report" / "csynth.xml"
-    _write_csynth_xml(path, metrics)
-    assert path.read_bytes() == PINNED_CSYNTH_XML
+    write_vitis_csynth_report(path, metrics)
+    assert path.read_bytes() == pinned
 
 
 def test_mock_impl_needs_synth_report(tmp_path):
