@@ -124,9 +124,18 @@ COLUMN_TYPES: dict[str, type] = {
 }
 COLUMNS = tuple(COLUMN_TYPES)
 
-# (bundle attribute, ((field, column), ...)) per section: how a bundle fills a row
-_ROW_FILL = tuple((attr, tuple((name, prefix + name) for name in _FIELD_TYPES[cls]))
-                  for attr, cls, prefix, _ in _SECTIONS)
+# the text columns whose values repeat from row to row: a base name, a tool version
+_SHARED_COLUMNS = tuple(name for name, kind in COLUMN_TYPES.items()
+                        if kind is str and name not in ("design_id", "assignment_summary"))
+
+
+def _share_strings(self) -> None:
+    """Give the row's repeating text cells the one interned copy every row shares: the
+    row class's __post_init__, so a row from any source shares them."""
+    for name in _SHARED_COLUMNS:
+        value = getattr(self, name)
+        if type(value) is str:
+            setattr(self, name, sys.intern(value))
 
 
 def _row_as_dict(row) -> dict:
@@ -141,6 +150,7 @@ AggregatedRow = make_dataclass(
         "has_hls": property(lambda row: row.hls_lut is not None),
         "has_impl": property(lambda row: row.impl_lut is not None),
         "as_dict": _row_as_dict,
+        "__post_init__": _share_strings,
     }, slots=True)
 
 
@@ -318,31 +328,14 @@ def _design_columns(design_dir: Path) -> dict:
     return {"design_id": design_dir.name, "base_name": design_dir.name.split("__")[0]}
 
 
-# the text columns whose values repeat from row to row: a base name, a tool version
-_SHARED_COLUMNS = tuple(name for name, kind in COLUMN_TYPES.items()
-                        if kind is str and name not in ("design_id", "assignment_summary"))
-
-
-def _share_strings(row: AggregatedRow) -> AggregatedRow:
-    """Give the row's repeating text cells the one interned copy every row shares."""
-    for name in _SHARED_COLUMNS:
-        value = getattr(row, name)
-        if type(value) is str:
-            setattr(row, name, sys.intern(value))
-    return row
-
-
 def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
     """Flatten one design directory into a table row; absent or unreadable files leave nulls."""
     design_dir = Path(design_dir)
-    row = AggregatedRow(dataset=dataset, **_design_columns(design_dir))
-    bundle = read_standard_json(design_dir)
-    for attr, columns in _ROW_FILL:
-        section = getattr(bundle, attr)
-        if section is not None:
-            for name, column in columns:
-                setattr(row, column, getattr(section, name))
-    return _share_strings(row)
+    cells = _design_columns(design_dir)
+    for _, cls, prefix, filename in _SECTIONS:
+        if (section := _read_section(design_dir, filename, cls)) is not None:
+            cells.update({prefix + name: value for name, value in vars(section).items()})
+    return AggregatedRow(dataset=dataset, **cells)
 
 
 def aggregate_collection(work_dir: Path) -> AggregatedTable:
@@ -372,12 +365,11 @@ def export_tabular(table: AggregatedTable, path: Path, format: str = "csv") -> P
     return path
 
 
-def _csv_value(column: str, text: str | None):
-    """A CSV cell read back as export_tabular wrote it: an int column takes only
-    an integer literal."""
-    if text is None or text == "":
-        return None
-    return COLUMN_TYPES[column](text)
+def _csv_cells(record: dict) -> dict:
+    """A CSV row's cells read back as export_tabular wrote them: an empty or absent
+    cell is null, and an int column takes only an integer literal."""
+    return {name: kind(text) if (text := record.get(name)) else None
+            for name, kind in COLUMN_TYPES.items()}
 
 
 def load_table(path: Path) -> AggregatedTable:
@@ -390,19 +382,13 @@ def load_table(path: Path) -> AggregatedTable:
     writes it (an int cell "2.5", a JSONL ``true`` in an int column, ...).
     """
     path = Path(path)
-    rows = []
     try:
         with path.open(newline="") as handle:
             if path.suffix == ".jsonl":
-                for line in filter(str.strip, handle):
-                    rows.append(_share_strings(
-                        read_declared(AggregatedRow, json.loads(line), ignore_unknown=True)))
+                rows = [read_declared(AggregatedRow, json.loads(line), ignore_unknown=True)
+                        for line in filter(str.strip, handle)]
             else:
-                for record in csv.DictReader(handle):
-                    row = AggregatedRow()
-                    for name in COLUMNS:
-                        setattr(row, name, _csv_value(name, record.get(name)))
-                    rows.append(_share_strings(row))
+                rows = [AggregatedRow(**_csv_cells(record)) for record in csv.DictReader(handle)]
     except OSError as exc:  # absent, a directory, no permission
         raise SourceUnreadable(f"table file {path}: {exc}") from exc
     # undecodable bytes, invalid JSON or CSV, a line that is no object, a bad cell
@@ -476,7 +462,7 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
             records = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SourceUnreadable(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(records, list):
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise MalformedSpec("json source must be an array of objects")
         header = records[0] if records else spec.columns  # no record: nothing to miss
     for src in spec.columns:
@@ -486,27 +472,25 @@ def import_external_dataset(mapping_spec: dict, path: Path) -> ImportResult:
     rows = []
     n_dropped = 0
     for i, record in enumerate(records):
-        row = AggregatedRow()
+        cells = {}
         try:
             for src, dst in spec.columns.items():
                 raw = record.get(src)
-                if raw is None or raw == "":
-                    setattr(row, dst, None)
-                    continue
                 kind = COLUMN_TYPES[dst]
-                if dst in spec.units and kind is not str:
+                if raw is None or raw == "":
+                    cells[dst] = None
+                elif dst in spec.units and kind is not str:
                     converted = _apply_unit(spec.units[dst], float(raw))
-                    value = int(round(converted)) if kind is int else converted
+                    cells[dst] = int(round(converted)) if kind is int else converted
                 else:  # an integer column takes any number
-                    value = int(float(raw)) if kind is int else kind(raw)
-                setattr(row, dst, value)
+                    cells[dst] = int(float(raw)) if kind is int else kind(raw)
         except (ValueError, TypeError):
             n_dropped += 1
             continue
-        if row.design_id is None:
-            row.design_id = f"{spec.name}_{i:06d}"
-        row.dataset = f"external:{spec.name}"  # a mapped dataset column included
-        rows.append(row)
+        if cells.get("design_id") is None:
+            cells["design_id"] = f"{spec.name}_{i:06d}"
+        cells["dataset"] = f"external:{spec.name}"  # a mapped dataset column included
+        rows.append(AggregatedRow(**cells))
     return ImportResult(rows, n_dropped)
 
 

@@ -282,11 +282,12 @@ def format_coverage_table(summary: CoverageSummary) -> str:
 
 
 def histogram(values: list[float], n_bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width bins over [min, max]; the maximum lands in the last bin."""
+    """Equal-width bins over the finite values' [min, max]; the maximum lands in the last bin."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    values = [v for v in values if math.isfinite(v)]
     if not values:
-        raise EmptyValues("histogram needs at least one value")
+        raise EmptyValues("histogram needs at least one finite value")
     lo = min(values)
     hi = max(values)
     counts = [0] * n_bins

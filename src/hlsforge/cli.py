@@ -32,7 +32,6 @@ from .core import (
     FrontendConfig,
     WorkspaceLayout,
     check_ranges,
-    design_identity,
     load_dataset,
     load_post_frontend,
     local_workers,
@@ -45,6 +44,7 @@ from .core import (
 from .errors import (
     ConfigError,
     EmptyDataset,
+    EmptyValues,
     ExecutableNotFound,
     HlsForgeError,
     MalformedReport,
@@ -180,8 +180,7 @@ def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy
     """
     from .executor import execute
     chains, timeline = execute(collection, specs, n_workers, strategy, pin_cores)
-    keys = [(name, design_identity(design))
-            for name, dataset in collection.items() for design in dataset.designs]
+    keys = [(name, design.id) for name, dataset in collection.items() for design in dataset.designs]
     return {spec.name: {key: chain[i] for key, chain in zip(keys, chains)}
             for i, spec in enumerate(specs)}, timeline
 
@@ -194,7 +193,7 @@ def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
     from .pool import fork_imap
     outcomes = results.get(specs[0].name, {}) if specs else {}
     pending = [design for name, dataset in collection.items() for design in dataset.designs
-               if (name, design_identity(design)) not in outcomes]
+               if (name, design.id) not in outcomes]
     return sum(fork_imap(extract_design, pending, local_workers()))
 
 
@@ -313,14 +312,15 @@ def cmd_stats(args) -> int:
     summary = coverage_summary(table, group_by=args.group_by, metrics=metrics)
     print(format_coverage_table(summary))
     if args.hist:
-        values = [float(v) for row in table.rows
-                  if (v := getattr(row, args.hist, None)) is not None]
-        if values:
-            print(f"\nhistogram of {args.hist} ({len(values)} values)")
-            for lo, hi, count in histogram(values, args.bins):
-                print(f"  [{lo:>14.4f}, {hi:>14.4f}) {count:>6} {'#' * min(count, 60)}")
-        else:
+        try:
+            bins = histogram([float(v) for row in table.rows
+                              if (v := getattr(row, args.hist, None)) is not None], args.bins)
+        except EmptyValues:
             print(f"\nno values for {args.hist}")
+        else:
+            print(f"\nhistogram of {args.hist} ({sum(c for *_, c in bins)} values)")
+            for lo, hi, count in bins:
+                print(f"  [{lo:>14.4f}, {hi:>14.4f}) {count:>6} {'#' * min(count, 60)}")
     if args.json:
         write_json(args.json, summary.to_json_dict())
         print(f"summary -> {args.json}")

@@ -20,6 +20,7 @@ from collections.abc import Collection, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import EmptyDataset, MalformedReport, MissingDirectory, MissingField
@@ -105,6 +106,10 @@ class AbstractDesign:
     source_dir: Path
     files: tuple[str, ...]
 
+    # what a ConcreteDesign names id and dir: the per-dataset key and the design's directory
+    id = property(lambda design: design.name)
+    dir = property(lambda design: design.source_dir)
+
     @property
     def frontend_ready(self) -> bool:
         return OPT_TEMPLATE_FILENAME in self.files
@@ -174,10 +179,9 @@ class DesignDataset:
     def __post_init__(self):
         seen = set()
         for design in self.designs:
-            ident = design_identity(design)
-            if ident in seen:
-                raise ValueError(f"duplicate design {ident!r} in dataset {self.name!r}")
-            seen.add(ident)
+            if design.id in seen:
+                raise ValueError(f"duplicate design {design.id!r} in dataset {self.name!r}")
+            seen.add(design.id)
 
 
 # Collections are plain dicts keyed by dataset name (insertion order kept).
@@ -203,15 +207,6 @@ class WorkspaceLayout:
 def local_workers() -> int:
     """Cores this process may run on: the worker count for lowering and extraction."""
     return len(os.sched_getaffinity(0))
-
-
-def design_identity(design) -> str:
-    """The stable per-dataset key: concrete id if lowered, else the name."""
-    return design.id if isinstance(design, ConcreteDesign) else design.name
-
-
-def design_dir(design) -> Path:
-    return design.dir if isinstance(design, ConcreteDesign) else design.source_dir
 
 
 def walk_files(root: Path, skip_dirs: Collection[str] = ()) -> Iterator[str]:
@@ -308,8 +303,7 @@ def concrete_design_id(base_name: str, assignment: DirectiveAssignment) -> str:
 
 def validate_design_files(design, required: tuple[str, ...] | list[str]) -> list[str]:
     """Return the required relative paths absent from the design directory."""
-    root = design_dir(design)
-    return [rel for rel in required if not (root / rel).exists()]
+    return [rel for rel in required if not (design.dir / rel).exists()]
 
 
 def list_post_frontend(work_dir: Path) -> dict[str, list[Path]]:
@@ -373,21 +367,27 @@ def json_fits(value, hint) -> bool:
 @functools.cache
 def _declaration(cls) -> dict:
     """The fields of the dataclass cls as read_declared reads them and write_json
-    writes them, by name in field order: (the JSON type a value must fit, whether the
-    key is required, the dataclass the value, or each of its items, is read as, the
-    list or tuple holding those items, whether an int reads as a float). Built on the
-    class's first read or write."""
+    writes them, by name in field order: (the JSON type a value must fit, the types
+    that fit it exactly, whether the key is required, the dataclass the value, or each
+    of its items, is read as, the list or tuple holding those items). A value of an
+    exact type needs no json_fits: ``int | None`` gives (int, NoneType), ``list[X]``
+    and ``dict[str, X]`` give none, and an int reads as a float where float is one.
+    Built on the class's first read or write."""
     hints = get_type_hints(cls)
     plan = {}
     for spec in fields(cls):
         hint = hints[spec.name]
-        container = get_origin(hint) if get_origin(hint) in (list, tuple) else None
+        origin = get_origin(hint)
+        container = origin if origin in (list, tuple) else None
         item = get_args(hint)[0] if container else hint
-        if not is_dataclass(item):
+        if is_dataclass(item):
+            hint, origin = list if container else dict, None
+        else:
             item = container = None
-        plan[spec.name] = (hint if item is None else list if container else dict,
+        exact = get_args(hint) if type(hint) is UnionType else () if origin else (hint,)
+        plan[spec.name] = (hint, exact,
                            spec.default is MISSING and spec.default_factory is MISSING,
-                           item, container, hint in (float, float | None))
+                           item, container)
     return plan
 
 
@@ -410,13 +410,13 @@ def read_declared(cls, payload, where: str = "", /, ignore_unknown: bool = False
     if not ignore_unknown and (unknown := payload.keys() - (plan.keys() - given.keys())):
         raise MalformedReport(f"{where[:-1] + ': ' if where else ''}unknown key(s) "
                               f"{', '.join(map(repr, sorted(unknown)))}")
-    for name, (hint, required, item, container, to_float) in plan.items():
+    for name, (hint, exact, required, item, container) in plan.items():
         if name in given or name not in payload:
             if required and name not in given:
                 raise MissingField(f"lacks required field {where}{name!r}")
             continue
         value = payload[name]
-        if type(value) is not hint and not json_fits(value, hint):  # an exact type fits
+        if type(value) not in exact and not json_fits(value, hint):
             raise MalformedReport(f"field {where}{name!r} holds {value!r}, not "
                                   f"{hint if get_args(hint) else hint.__name__}")
         if container is not None:
@@ -424,7 +424,7 @@ def read_declared(cls, payload, where: str = "", /, ignore_unknown: bool = False
                               for i, entry in enumerate(value))
         elif item is not None:
             value = read_declared(item, value, f"{where}{name}.", ignore_unknown)
-        elif to_float and type(value) is int:
+        elif float in exact and type(value) is int:
             with suppress(OverflowError):  # past every float: cls's own check may refuse it
                 value = float(value)
         given[name] = value
@@ -456,7 +456,7 @@ def _json_object(record) -> dict:
     """record's fields by name in declaration order (_declaration), a nested record, or
     each of a list or tuple of them, as its own such object: what read_declared reads."""
     obj = {}
-    for name, (_, _, item, container, _) in _declaration(type(record)).items():
+    for name, (*_, item, container) in _declaration(type(record)).items():
         value = getattr(record, name)
         if item is not None:
             value = [*map(_json_object, value)] if container else _json_object(value)

@@ -31,8 +31,7 @@ from pathlib import Path
 # subprocess only where it is used; both are loaded here, before the pool forks, so
 # no worker loads a module. pool brings signal and traceback.
 from . import aggregate
-from .core import (STRATEGIES, DatasetCollection, design_dir, design_identity,
-                   replace_on_success, write_json)
+from .core import STRATEGIES, DatasetCollection, replace_on_success, write_json
 from .errors import WorkerLost
 from .pool import current_worker, fork_imap
 from .toolflows import (
@@ -88,7 +87,7 @@ def _finish(design, flows: tuple, version: str, steps: list) -> list:
             steps[0] = (replace(outcome, status=STATUS_FAILED), start, end)
             for name in aggregate.SIDECAR_FILENAMES:
                 with suppress(OSError):  # best effort: the failed flow already says why
-                    (design_dir(design) / name).unlink(missing_ok=True)
+                    (design.dir / name).unlink(missing_ok=True)
     return [(outcome.status, outcome.runtime_s, start, end) for outcome, start, end in steps]
 
 
@@ -143,7 +142,7 @@ def execute(collection: DatasetCollection, flows: list[ToolFlowSpec], n_workers:
         with closing(fork_imap(chain, [design for _, design in batch], n_workers, pin_cores,
                                chunksize, lost)) as results:
             for (dataset_name, design), (index, steps) in zip(batch, results):
-                ident, root, outcomes = design_identity(design), design_dir(design), []
+                ident, root, outcomes = design.id, design.dir, []
                 for flow, (status, runtime_s, start, end) in zip(flows, steps):
                     status = sys.intern(status)
                     records.append(ExecutionRecord(Job(ident, dataset_name, flow.name), index,

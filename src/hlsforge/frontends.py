@@ -34,8 +34,6 @@ from .core import (
     FrontendConfig,
     WorkspaceLayout,
     concrete_design_id,
-    design_dir,
-    design_identity,
     list_design_files,
     local_workers,
     read_record,
@@ -258,9 +256,9 @@ def _lowers(design) -> bool:
 def _pass_through(design, dataset_name: str, layout: WorkspaceLayout):
     """A copy of a design that is not lowered (a ConcreteDesign included), under its
     id in the directory of dataset_name."""
-    out_dir = layout.post_frontend_dir(dataset_name) / design_identity(design)
+    out_dir = layout.post_frontend_dir(dataset_name) / design.id
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    _fresh_copy(design_dir(design), out_dir)
+    _fresh_copy(design.dir, out_dir)
     if isinstance(design, ConcreteDesign):
         return ConcreteDesign(design.id, design.base_name, out_dir, design.vendor)
     return AbstractDesign(design.name, out_dir.parent.name, out_dir, design.files)
@@ -332,7 +330,7 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     for base in bases:  # copied through first: no point may take their directories
         if not _lowers(base.design):
             base.lowered.append(_pass_through(base.design, base.dataset_name, layout))
-    copied = {design_dir(base.lowered[0]) for base in bases if base.lowered}
+    copied = {base.lowered[0].dir for base in bases if base.lowered}
     for base in bases:
         design = base.design
         if not _lowers(design):
@@ -361,7 +359,7 @@ def execute_frontend(collection: DatasetCollection, config: FrontendConfig,
     with closing(fork_imap(partial(_lower_point, layout, config.vendor), points, local_workers(),
                            on_lost=_lose_point)) as outcomes:
         for base in bases:
-            key = (base.dataset_name, design_identity(base.design))
+            key = (base.dataset_name, base.design.id)
             out_dirs = []  # of the points not refused as collisions
             for (_, design_id), failed in [(point, next(outcomes)) for point in base.points]:
                 if failed is not None and failed[0]:

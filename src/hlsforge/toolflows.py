@@ -52,8 +52,6 @@ from .core import (
     SOURCE_SUFFIXES,
     Range,
     check_ranges,
-    design_dir,
-    design_identity,
     plain_name,
     ranged,
     read_record,
@@ -447,12 +445,12 @@ def simulated_runtime_s(lut: int, ff: int) -> float:
 def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants()) -> str:
     """Price the design and write hls_prj/solution1/syn/report/csynth.xml; returns the log text."""
     from .aggregate import write_vitis_csynth_report
-    root = design_dir(design)
+    root = design.dir
     manifest = MockManifest.load(root)
     profile = extract_directives(root)
     metrics = compute_mock_synth_metrics(manifest, profile, constants)
     write_vitis_csynth_report(root / CSYNTH_REPORT_RELPATH, metrics)
-    return (f"mock hls synth ({constants.version}) on {design_identity(design)}\n"
+    return (f"mock hls synth ({constants.version}) on {design.id}\n"
             f"directive source: {profile.mode}\n"
             f"unroll={dict(sorted(profile.unroll.items()))} "
             f"pipelined={sorted(profile.pipelined)} banks={dict(sorted(profile.banks.items()))}\n"
@@ -463,7 +461,7 @@ def mock_hls_synth(design, constants: MockCostConstants = MockCostConstants()) -
 def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str:
     """Derive implementation results from the synthesis report; returns the log text."""
     from .aggregate import parse_vitis_csynth_report
-    root = design_dir(design)
+    root = design.dir
     report_path = root / CSYNTH_REPORT_RELPATH
     try:
         hls = parse_vitis_csynth_report(report_path.read_text())
@@ -472,7 +470,7 @@ def mock_impl(design, constants: MockCostConstants = MockCostConstants()) -> str
     manifest = MockManifest.load(root)
     metrics = compute_mock_impl_metrics(hls, manifest.clock_target_ns, constants)
     write_json(root / IMPL_REPORT_RELPATH, metrics)  # hls_prj/ holds the report just read
-    return (f"mock impl ({constants.version}) on {design_identity(design)}\n"
+    return (f"mock impl ({constants.version}) on {design.id}\n"
             f"clock_target_ns={manifest.clock_target_ns} wns_ns={metrics.wns_ns} "
             f"lut={metrics.lut} ff={metrics.ff} power_w={metrics.total_power_w}\n")
 
@@ -543,7 +541,7 @@ def _outcome(spec: ToolFlowSpec, design, status: str, runtime: float, log: str) 
     """A run of spec on design ended with status: write its log (write_log); a mock run
     that did not end ok leaves no earlier run's report behind. A report that cannot be
     removed fails the run, and its log ends with a line naming the error and the report."""
-    root = design_dir(design)
+    root = design.dir
     log_path = flow_log(root, spec.name)
     if not write_log(log_path, log):
         status = STATUS_FAILED
@@ -553,7 +551,7 @@ def _outcome(spec: ToolFlowSpec, design, status: str, runtime: float, log: str) 
         except OSError as exc:
             status = STATUS_FAILED
             write_log(log_path, f"stale report not removed: {type(exc).__name__}: {exc}\n", "a")
-    return FlowOutcome(design_identity(design), spec.name, status, runtime, log_path)
+    return FlowOutcome(design.id, spec.name, status, runtime, log_path)
 
 
 def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
@@ -566,7 +564,7 @@ def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
             status = STATUS_SKIPPED
             log = f"skipped: required file(s) missing: {', '.join(missing)}\n"
         elif spec.kind == KIND_EXTERNAL:
-            status, log = _run_external(spec, design_dir(design))
+            status, log = _run_external(spec, design.dir)
         elif spec.kind == KIND_MOCK_SYNTH:
             status, log = STATUS_OK, mock_hls_synth(design, spec.constants)
         elif spec.kind == KIND_MOCK_IMPL:
@@ -595,7 +593,7 @@ def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "
     an external flow's runtime as measured, a mock flow's simulated one."""
     from .aggregate import (ExecutionMeta, ImplMetrics, MetricsBundle,
                             parse_vitis_csynth_report, write_standard_json)
-    root = design_dir(design)
+    root = design.dir
     bundle = MetricsBundle()
     with contextlib.suppress(OSError, UnicodeDecodeError, HlsForgeError):
         bundle.hls = parse_vitis_csynth_report((root / CSYNTH_REPORT_RELPATH).read_text())

@@ -221,6 +221,27 @@ def test_rows_of_one_base_share_their_repeating_text(tmp_path):
         assert first.design_id != second.design_id
 
 
+def test_rows_from_every_source_share_one_string_per_repeated_value(tmp_path):
+    work = tmp_path / "work"
+    for name in ("kernel__11111111", "kernel__22222222"):
+        make_design_dir(work / "ds__post_frontend", name=name, bundle=sample_bundle(),
+                        base_name="kernel")
+    table = aggregate_collection(work)
+    src = tmp_path / "ext.csv"
+    src.write_text("kernel,base,tool\ng0,gemm,vitis\ng1,gemm,vitis\n")
+    spec = {"name": "suite", "format": "csv",
+            "columns": {"kernel": "design_id", "base": "base_name", "tool": "exec_tool_name"}}
+    built = [table.rows, *(load_table(export_tabular(table, tmp_path / f"t.{fmt}", format=fmt)).rows
+                           for fmt in ("csv", "jsonl"))]
+    imported = import_external_dataset(spec, src).rows
+    for rows in (*built, imported):
+        for column in ("base_name", "dataset", "exec_tool_name"):
+            assert getattr(rows[0], column) == getattr(rows[1], column) is not None
+            assert getattr(rows[0], column) is getattr(rows[1], column), column
+    assert len({id(rows[0].base_name) for rows in built}) == 1  # one "kernel" for the table
+    assert imported[0].dataset == "external:suite" and imported[0].base_name == "gemm"
+
+
 def test_export_and_load_round_trip(tmp_path):
     pf = tmp_path / "work" / "ds__post_frontend"
     make_design_dir(pf, name="a__11111111", bundle=sample_bundle())
@@ -289,6 +310,15 @@ def test_import_external_json_and_generated_ids(tmp_path):
     result = import_external_dataset(spec, src)
     assert [r.design_id for r in result.rows] == ["js_000000", "js_000001"]
     assert [r.impl_lut for r in result.rows] == [500, 600]
+
+
+@pytest.mark.parametrize("records", [[1, 2], [{"lut": 5}, 7], [{"lut": 5}, ["lut"]]])
+def test_import_json_refuses_an_array_of_anything_but_objects(tmp_path, records):
+    src = tmp_path / "ext.json"
+    src.write_text(json.dumps(records))
+    spec = {"name": "js", "format": "json", "columns": {"lut": "impl_lut"}}
+    with pytest.raises(MalformedSpec, match="^json source must be an array of objects$"):
+        import_external_dataset(spec, src)
 
 
 def test_import_spec_validation(tmp_path):

@@ -5,8 +5,10 @@ checks. xilinx_sample checks one data_design.json per design in the archive
 and the table rows against the harness's own cost model. external_skew is the
 only run of external tool chains through the harness: each job takes at least
 its scripted sleep, and each round's makespan is at or above its work bound.
-It writes only under the repository's ``.bench_runs/``. No timing is asserted
-beyond those checks.
+intel_ab is the only run of an intel lowering, a rebuild of a built tree under
+a second tool version, load_table's CSV reader and compare_tool_versions
+through the harness. It writes only under the repository's ``.bench_runs/``.
+No timing is asserted beyond those checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["xilinx_sample", "external_skew"])
+@pytest.mark.parametrize("workload", ["xilinx_sample", "external_skew", "intel_ab"])
 def test_tiny_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--tiny", "--workload", workload, "--seed", "0"],

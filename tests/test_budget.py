@@ -124,10 +124,10 @@ print(json.dumps({"designs": n_designs, "calls": calls, "files": files,
 # rounded up to two decimals (88 designs: 4 samples of each bundled kernel, or its
 # whole space when smaller, for both vendors)
 CALLS_311 = {
-    "expand": 1404.52,
-    "load_post_frontend": 97.5,
-    "build": 1618.12,
-    "aggregate": 408.23,
+    "expand": 1402.14,
+    "load_post_frontend": 95.5,
+    "build": 1592.12,
+    "aggregate": 312.41,
     "export": 72.85,
     "archive": 439.35,
 }

@@ -458,6 +458,21 @@ def test_column_options_are_checked_against_the_schema(tmp_path, capsys, argv, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+def test_stats_hist_bins_only_the_finite_values(tmp_path, capsys, cell):
+    rows = [AggregatedRow(design_id=f"d{i}", base_name="d", dataset="ds", hls_lut=1,
+                          hls_clock_estimate_ns=clock) for i, clock in enumerate((2.0, 4.0, cell))]
+    table = export_tabular(AggregatedTable(rows), tmp_path / "t.csv")
+    assert main(["stats", str(table), "--hist", "hls_clock_estimate_ns", "--bins", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "histogram of hls_clock_estimate_ns (2 values)" in out
+    assert "[        2.0000,         3.0000)      1 #\n" in out
+    assert "[        3.0000,         4.0000)      1 #\n" in out
+    only = export_tabular(AggregatedTable(rows[2:]), tmp_path / "only.csv")
+    assert main(["stats", str(only), "--hist", "hls_clock_estimate_ns"]) == 0
+    assert "no values for hls_clock_estimate_ns" in capsys.readouterr().out
+
+
 def test_column_options_take_any_schema_column_of_the_right_type(tmp_path, capsys):
     table = export_tabular(AggregatedTable([AggregatedRow(design_id="a", base_name="a",
                                                           dataset="ds", hls_lut=1)]),

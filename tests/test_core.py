@@ -16,8 +16,6 @@ from hlsforge.core import (
     DesignRecord,
     WorkspaceLayout,
     concrete_design_id,
-    design_dir,
-    design_identity,
     list_design_files,
     load_dataset,
     read_declared,
@@ -114,10 +112,10 @@ def test_dataset_rejects_duplicate_identities(tmp_path):
 def test_design_identity_and_dir(tmp_path):
     abstract = AbstractDesign("a", "ds", tmp_path / "a", ())
     concrete = ConcreteDesign("a__deadbeef", "a", tmp_path / "out", "xilinx")
-    assert design_identity(abstract) == "a"
-    assert design_identity(concrete) == "a__deadbeef"
-    assert design_dir(abstract) == tmp_path / "a"
-    assert design_dir(concrete) == tmp_path / "out"
+    assert abstract.id == "a"
+    assert concrete.id == "a__deadbeef"
+    assert abstract.dir == tmp_path / "a"
+    assert concrete.dir == tmp_path / "out"
 
 
 def test_workspace_post_frontend_dir(tmp_path):

@@ -14,7 +14,6 @@ from hlsforge.core import (
     ConcreteDesign,
     WorkspaceLayout,
     concrete_design_id,
-    design_identity,
     load_dataset,
     load_post_frontend,
 )
@@ -584,7 +583,7 @@ def test_a_point_whose_id_names_a_design_copied_through_is_refused(tmp_path):
     assert (dataset, name) == ("ds", "d") and message.startswith("IdCollision: ")
     assert result.sizes == {("ds", "d"): (6, 0), ("ds", taken): (1, 1)}
     [copy] = result.collection["ds__post_frontend"].designs
-    assert isinstance(copy, AbstractDesign) and design_identity(copy) == taken
+    assert isinstance(copy, AbstractDesign) and copy.id == taken
     assert (copy.source_dir / "marker.txt").read_text() == "copied through\n"
     assert sorted(tree_bytes(copy.source_dir)) == sorted(tree_bytes(root / taken))
 
