@@ -159,13 +159,19 @@ class RegressionReport:
         return out
 
 
+def _finite(value) -> bool:
+    """Whether a statistic takes a cell: only a number that is not null, NaN or infinite."""
+    return value is not None and math.isfinite(value)
+
+
 def _rows_of(table_or_rows) -> list:
     return table_or_rows.rows if hasattr(table_or_rows, "rows") else list(table_or_rows)
 
 
 def compare_tool_versions(results_a, results_b, metrics=DEFAULT_REGRESSION_METRICS,
                           alpha: float = 0.05) -> RegressionReport:
-    """Pair two tables by design id and test each metric for a shift."""
+    """Pair two tables by design id and test each metric for a shift; a pair with a
+    cell that is not _finite on either side is left out."""
     rows_a = {r.design_id: r for r in _rows_of(results_a) if r.design_id is not None}
     rows_b = {r.design_id: r for r in _rows_of(results_b) if r.design_id is not None}
     common = sorted(set(rows_a) & set(rows_b))
@@ -179,7 +185,7 @@ def compare_tool_versions(results_a, results_b, metrics=DEFAULT_REGRESSION_METRI
         for design_id in common:
             va = getattr(rows_a[design_id], metric, None)
             vb = getattr(rows_b[design_id], metric, None)
-            if va is not None and vb is not None:
+            if _finite(va) and _finite(vb):
                 a_vals.append(float(va))
                 b_vals.append(float(vb))
         if not a_vals:
@@ -249,7 +255,7 @@ def _spread(values: list[float]) -> MetricSpread:
 
 def coverage_summary(table_or_rows, group_by: str = "base_name",
                      metrics=DEFAULT_COVERAGE_METRICS) -> CoverageSummary:
-    """Five-number spread per (group, metric); rows with a null metric are skipped."""
+    """Five-number spread per (group, metric); rows whose metric is not _finite are skipped."""
     summary = CoverageSummary(group_by=group_by)
     grouped: dict[str, list] = {}
     for row in _rows_of(table_or_rows):
@@ -262,8 +268,7 @@ def coverage_summary(table_or_rows, group_by: str = "base_name",
         summary.sizes[group] = len(rows)
         per_metric = {}
         for metric in metrics:
-            values = [float(v) for row in rows
-                      if (v := getattr(row, metric, None)) is not None]
+            values = [float(v) for row in rows if _finite(v := getattr(row, metric, None))]
             if values:
                 per_metric[metric] = _spread(sorted(values))
         summary.groups[group] = per_metric
@@ -281,11 +286,11 @@ def format_coverage_table(summary: CoverageSummary) -> str:
     return "\n".join(lines)
 
 
-def histogram(values: list[float], n_bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width bins over the finite values' [min, max]; the maximum lands in the last bin."""
+def histogram(values: list[float | None], n_bins: int) -> list[tuple[float, float, int]]:
+    """Equal-width bins over the _finite values' [min, max]; the maximum lands in the last bin."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    values = [v for v in values if math.isfinite(v)]
+    values = [v for v in values if _finite(v)]
     if not values:
         raise EmptyValues("histogram needs at least one finite value")
     lo = min(values)

@@ -287,6 +287,7 @@ def cmd_regress(args) -> int:
     from . import aggregate as agg
     from .analysis import DEFAULT_REGRESSION_METRICS, compare_tool_versions, format_regression_table
     metrics = _metrics(args, DEFAULT_REGRESSION_METRICS)
+    _expect(0 < args.alpha < 1, f"--alpha must be > 0 and < 1, got {args.alpha}")
     table_a = agg.load_table(Path(args.table_a))
     table_b = agg.load_table(Path(args.table_b))
     report = compare_tool_versions(table_a, table_b, metrics=metrics, alpha=args.alpha)
@@ -313,8 +314,7 @@ def cmd_stats(args) -> int:
     print(format_coverage_table(summary))
     if args.hist:
         try:
-            bins = histogram([float(v) for row in table.rows
-                              if (v := getattr(row, args.hist, None)) is not None], args.bins)
+            bins = histogram([getattr(row, args.hist) for row in table.rows], args.bins)
         except EmptyValues:
             print(f"\nno values for {args.hist}")
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import itertools
 import json
 import math
 import os
@@ -55,7 +54,7 @@ SOURCE_SUFFIXES = (*COMPILED_SUFFIXES, ".h", ".hpp", ".cl")
 ANCHOR_RE = re.compile(r"//\s*HLSFORGE_LABEL:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_JSON_BLOCK_TOKENS = 4096
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 class Range(NamedTuple):
@@ -435,33 +434,34 @@ def read_declared(cls, payload, where: str = "", /, ignore_unknown: bool = False
 
 
 def write_json(path: Path, obj) -> Path:
-    """Write obj, a JSON value or a declared record (_json_object), as JSON in the work
-    tree's one layout: two-space indent, final newline.
-
-    The text is encoded straight into the file in blocks of at most
-    _JSON_BLOCK_TOKENS tokens, never held whole: json.dump would make one
-    write per token.
-    """
-    path = Path(path)
-    tokens = json.JSONEncoder(indent=2).iterencode(
-        _json_object(obj) if is_dataclass(obj) else obj)
+    """Write obj, a JSON value or a declared record, to path, which it returns, as
+    json.dumps(obj, indent=2) and a final newline: the work tree's one layout."""
     with open(path, "w") as handle:
-        while block := "".join(itertools.islice(tokens, _JSON_BLOCK_TOKENS)):
-            handle.write(block)
+        _write_layout(handle.write, obj, "\n")
         handle.write("\n")
     return path
 
 
-def _json_object(record) -> dict:
-    """record's fields by name in declaration order (_declaration), a nested record, or
-    each of a list or tuple of them, as its own such object: what read_declared reads."""
-    obj = {}
-    for name, (*_, item, container) in _declaration(type(record)).items():
-        value = getattr(record, name)
-        if item is not None:
-            value = [*map(_json_object, value)] if container else _json_object(value)
-        obj[name] = value
-    return obj
+def _write_layout(write, value, newline: str) -> None:
+    """Write value as json.dumps(value, indent=2) does, indented by newline (a line break
+    and value's indent). A record is the object of its fields (_declaration); a scalar,
+    or an object or array holding only _JSON_SCALARS, is one call to json's C encoder;
+    anything else goes part by part, each key as json writes it in '{<key>: 0}'."""
+    if is_dataclass(value):
+        value = {name: getattr(value, name) for name in _declaration(type(value))}
+    is_object = isinstance(value, dict)
+    if not is_object and not isinstance(value, (list, tuple)):
+        return write(json.dumps(value))
+    inner = newline + "  "
+    if {*map(type, value.values() if is_object else value)} <= _JSON_SCALARS:
+        text = json.dumps(value, separators=("," + inner, ": "))
+        return write(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}" if value else text)
+    separator = "{" + inner if is_object else "[" + inner
+    for key, member in value.items() if is_object else enumerate(value):
+        write(separator + json.dumps({key: 0})[1:-2] if is_object else separator)
+        _write_layout(write, member, inner)
+        separator = "," + inner
+    write(newline + ("}" if is_object else "]"))
 
 
 @contextmanager

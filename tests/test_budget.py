@@ -2,15 +2,17 @@
 calls and in file calls, pinned as upper bounds.
 
 The counts guard against regressions, but they do not measure speed. A call can
-cost a few nanoseconds or a whole encode, so a change may lower the time and
-raise the calls: writing ``data_design.json`` through ``JSONEncoder(default=vars)``
-took 134 µs a file against ``asdict``'s 165 µs (2 cores, Python 3.11.7), yet on
-300 ``xilinx_sample``-shaped designs it left expand at 3,322 calls per design
-where writing from the record's declaration (``core.write_json``) makes 2,419 and
-takes 123 µs a file: each ``default`` call adds an encoder generator layer that
-every token of the record passes through. A change that claims a speed-up shows
-time beside the counts it lowers, and then tightens the bounds here to its own
-counts; no change loosens one without saying why.
+cost a few nanoseconds or a whole encode, so calls and time need not move
+together. Writing ``data_design.json`` through ``JSONEncoder(default=vars)`` took
+134 µs a file against ``asdict``'s 165 µs (2 cores, Python 3.11.7), yet on 300
+``xilinx_sample``-shaped designs it left expand at 3,322 calls per design: each
+``default`` call adds an encoder generator layer that every token of the record
+passes through. The other way round, ``core.write_json`` laying the file out
+itself, each flat object one call to json's C encoder, took expand on those
+designs from 2,417 to 1,138 calls per design, yet a record's encode went from
+56 to 59 µs, and the open makes most of the about 150 µs a file takes. A change
+that claims a speed-up shows time beside the counts it lowers, and then tightens
+the bounds here to its own counts; no change loosens one without saying why.
 
 The stages run in a fresh interpreter pinned to one allowed core, so every map
 runs inline and the audit hook goes with the process. Every module is imported
@@ -124,9 +126,9 @@ print(json.dumps({"designs": n_designs, "calls": calls, "files": files,
 # rounded up to two decimals (88 designs: 4 samples of each bundled kernel, or its
 # whole space when smaller, for both vendors)
 CALLS_311 = {
-    "expand": 1402.14,
+    "expand": 943.78,
     "load_post_frontend": 95.5,
-    "build": 1592.12,
+    "build": 1081.12,
     "aggregate": 312.41,
     "export": 72.85,
     "archive": 439.35,

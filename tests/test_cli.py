@@ -463,14 +463,49 @@ def test_stats_hist_bins_only_the_finite_values(tmp_path, capsys, cell):
     rows = [AggregatedRow(design_id=f"d{i}", base_name="d", dataset="ds", hls_lut=1,
                           hls_clock_estimate_ns=clock) for i, clock in enumerate((2.0, 4.0, cell))]
     table = export_tabular(AggregatedTable(rows), tmp_path / "t.csv")
-    assert main(["stats", str(table), "--hist", "hls_clock_estimate_ns", "--bins", "2"]) == 0
+    assert main(["stats", str(table), "--hist", "hls_clock_estimate_ns", "--bins", "2",
+                 "--metrics", "hls_clock_estimate_ns", "--json", str(tmp_path / "s.json")]) == 0
     out = capsys.readouterr().out
     assert "histogram of hls_clock_estimate_ns (2 values)" in out
     assert "[        2.0000,         3.0000)      1 #\n" in out
     assert "[        3.0000,         4.0000)      1 #\n" in out
+    # the coverage spread leaves the cell out too
+    spread = json.loads((tmp_path / "s.json").read_text())["groups"]["d"]["metrics"]
+    assert spread == {"hls_clock_estimate_ns": {"count": 2, "min": 2.0, "q1": 2.5, "median": 3.0,
+                                                "q3": 3.5, "max": 4.0}}
     only = export_tabular(AggregatedTable(rows[2:]), tmp_path / "only.csv")
-    assert main(["stats", str(only), "--hist", "hls_clock_estimate_ns"]) == 0
-    assert "no values for hls_clock_estimate_ns" in capsys.readouterr().out
+    assert main(["stats", str(only), "--hist", "hls_clock_estimate_ns",
+                 "--metrics", "hls_clock_estimate_ns"]) == 0
+    out = capsys.readouterr().out
+    assert "no values for hls_clock_estimate_ns" in out
+    assert not any(line.startswith("d ") for line in out.splitlines())  # no spread row
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
+def test_regress_pairs_only_the_finite_values(tmp_path, capsys, cell):
+    def table(name, cells):
+        rows = [AggregatedRow(design_id=f"d{i}", base_name="d", dataset="ds", impl_wns_ns=wns)
+                for i, wns in enumerate(cells)]
+        return str(export_tabular(AggregatedTable(rows), tmp_path / name))
+
+    a = table("a.csv", (cell, 1.0, 2.0, 3.0, 4.0))
+    b = table("b.csv", (0.0, 1.5, 2.5, 3.5, 4.5))
+    assert main(["regress", a, b, "--metrics", "impl_wns_ns",
+                 "--json", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    wns = json.loads((tmp_path / "r.json").read_text())["metrics"]["impl_wns_ns"]
+    assert (wns["n_pairs"], wns["n_effective"]) == (4, 4)
+    assert (wns["mean_a"], wns["mean_b"], wns["w_statistic"]) == (2.5, 3.0, 0.0)
+    assert wns["p_two_tailed"] == 0.125  # exact: 2 of the 16 sign assignments
+
+
+@pytest.mark.parametrize("alpha", ["2", "1", "0", "-1", "nan"])
+def test_regress_refuses_an_alpha_outside_0_to_1_before_reading_a_table(tmp_path, capsys, alpha):
+    absent = str(tmp_path / "absent.csv")
+    assert main(["regress", absent, absent, "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --alpha must be > 0 and < 1, got {float(alpha)}\n"
+    assert captured.out == ""
 
 
 def test_column_options_take_any_schema_column_of_the_right_type(tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import random
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -136,13 +138,45 @@ def test_validate_design_files_reports_missing(tmp_path):
 
 
 def test_write_json_layout_and_read_json_round_trip(tmp_path):
-    # the second payload spans more than one of the blocks write_json writes
+    # the second payload is one flat object per row, each encoded by json's C encoder
     for payload in ({"b": [1, 2.5, None], "a": {"x": "y"}},
                     {"rows": [{"i": i, "s": "x" * (i % 7)} for i in range(2000)]}):
         path = write_json(tmp_path / "p.json", payload)
         assert path.read_text() == json.dumps(payload, indent=2) + "\n"
         assert read_json(path) == payload
     assert read_json(tmp_path / "absent.json") is None
+
+    # a seeded sweep of dicts, lists and tuples up to 4 deep, empty ones at every depth,
+    # with every scalar json writes, keys of every type it takes and declared records
+    # anywhere: each written as json's own indenter writes its plain copy (asdict)
+    rng = random.Random(28)
+    scalars = [0, -7, 10 ** 30, 2.5, -0.0, math.nan, math.inf, -math.inf, True, False, None,
+               "", "naïve ☃ 𝄞", 'quote " backslash \\ line\n tab\t nul\x00 del\x7f']
+    keys = ["k", "é", 'a"b\n', "", 3, -10 ** 30, -1.5, math.nan, math.inf, True, False, None]
+    records = [AssignmentEntry("g", "lp1", 0, "unroll", "4"), DesignRecord("d", "d__0", "intel", ()),
+               DesignRecord("d", "d__1", "xilinx", (AssignmentEntry("g", "a", 1, "x", ""),) * 2)]
+
+    def value(depth: int):
+        roll = rng.random()
+        if depth == 4 or roll < 0.3:
+            return rng.choice(scalars)
+        if roll < 0.4:
+            return rng.choice(records)
+        members = [value(depth + 1) for _ in range(rng.choice((0, 0, 1, 2, 4)))]
+        if roll < 0.65:
+            return {rng.choice(keys): member for member in members}
+        return members if roll < 0.85 else tuple(members)
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {key: plain(member) for key, member in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(member) for member in v]
+        return asdict(v) if isinstance(v, (AssignmentEntry, DesignRecord)) else v
+
+    for _ in range(3000):
+        path = write_json(tmp_path / "v.json", v := value(0))
+        assert path.read_text() == json.JSONEncoder(indent=2).encode(plain(v)) + "\n", v
 
 
 def test_write_json_writes_a_record_as_its_fields_and_read_record_reads_it_back(tmp_path):
