@@ -93,24 +93,17 @@ class ExecutionMeta:
     status: str
 
 
-@dataclass
-class MetricsBundle:
-    hls: HlsSynthMetrics | None = None
-    impl: ImplMetrics | None = None
-    execution: ExecutionMeta | None = None
-
-
-# Metric sections: MetricsBundle attribute, dataclass, column prefix, sidecar file.
-_SECTIONS = (("hls", HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
-             ("impl", ImplMetrics, "impl_", IMPL_DATA_FILENAME),
-             ("execution", ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
+# Metric sections, in write_standard_json's order: dataclass, column prefix, sidecar file.
+_SECTIONS = ((HlsSynthMetrics, "hls_", HLS_DATA_FILENAME),
+             (ImplMetrics, "impl_", IMPL_DATA_FILENAME),
+             (ExecutionMeta, "exec_", EXECUTION_DATA_FILENAME))
 SIDECAR_FILENAMES = tuple(filename for *_, filename in _SECTIONS)
 
 
 # field name -> plain type, in field order; ``int | None`` gives int
 _FIELD_TYPES = {cls: {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
                       for name, hint in get_type_hints(cls).items()}
-                for _, cls, _, _ in _SECTIONS}
+                for cls, _, _ in _SECTIONS}
 
 # Column order is the table schema; exports and imports key off these names.
 # The identity and assignment columns come first, then every metric field
@@ -119,7 +112,7 @@ COLUMN_TYPES: dict[str, type] = {
     "design_id": str, "base_name": str, "dataset": str, "vendor": str,
     "assignment_summary": str, "n_directives": int, "max_unroll": int, "n_unrolled": int,
     "n_partitioned": int,
-    **{prefix + name: kind for _, cls, prefix, _ in _SECTIONS
+    **{prefix + name: kind for cls, prefix, _ in _SECTIONS
        for name, kind in _FIELD_TYPES[cls].items()},
 }
 COLUMNS = tuple(COLUMN_TYPES)
@@ -255,16 +248,17 @@ def write_vitis_csynth_report(path: Path, metrics: HlsSynthMetrics) -> None:
         report.write(_CSYNTH_XML.format(*latencies, **metrics.__dict__).encode())
 
 
-def write_standard_json(design_dir: Path, bundle: MetricsBundle) -> list[Path]:
-    """Write data_hls/impl/execution.json for the bundle's present sections.
+def write_standard_json(design_dir: Path, hls: HlsSynthMetrics | None = None,
+                        impl: ImplMetrics | None = None,
+                        execution: ExecutionMeta | None = None) -> list[Path]:
+    """Write data_hls/impl/execution.json for the sections given.
 
-    The file of an absent section is removed, so no earlier run's values
+    The file of an absent (None) section is removed, so no earlier run's values
     outlive the run that lost them.
     """
     design_dir = Path(design_dir)
     written = []
-    for attr, _, _, filename in _SECTIONS:
-        section = getattr(bundle, attr)
+    for section, (_, _, filename) in zip((hls, impl, execution), _SECTIONS):
         path = design_dir / filename
         if section is None:
             path.unlink(missing_ok=True)
@@ -285,12 +279,6 @@ def _read_section(design_dir: Path, filename: str, cls):
             payload.pop("schema_version", None)
             return read_declared(cls, payload)
     return None
-
-
-def read_standard_json(design_dir: Path) -> MetricsBundle:
-    design_dir = Path(design_dir)
-    return MetricsBundle(**{attr: _read_section(design_dir, filename, cls)
-                            for attr, cls, _, filename in _SECTIONS})
 
 
 def _assignment_columns(entries: tuple[AssignmentEntry, ...]) -> dict:
@@ -332,7 +320,7 @@ def row_from_design_dir(design_dir: Path, dataset: str) -> AggregatedRow:
     """Flatten one design directory into a table row; absent or unreadable files leave nulls."""
     design_dir = Path(design_dir)
     cells = _design_columns(design_dir)
-    for _, cls, prefix, filename in _SECTIONS:
+    for cls, prefix, filename in _SECTIONS:
         if (section := _read_section(design_dir, filename, cls)) is not None:
             cells.update({prefix + name: value for name, value in vars(section).items()})
     return AggregatedRow(dataset=dataset, **cells)

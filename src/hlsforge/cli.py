@@ -172,23 +172,22 @@ def build_flow_specs(raw_flows: list) -> list[ToolFlowSpec]:
 
 def run_flows(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
               n_workers: int, pin_cores: bool) -> tuple[dict, Timeline]:
-    """Run every design's chain of flows over the collection on one shared clock;
-    each chain ends by writing its design's data_*.json.
-
-    Returns ({flow_name: {(dataset, design_id): outcome}}, timeline); two
-    datasets may hold designs of the same id.
-    """
-    from .executor import execute
-    chains, timeline = execute(collection, specs, n_workers, strategy, pin_cores)
-    keys = [(name, design.id) for name, dataset in collection.items() for design in dataset.designs]
-    return {spec.name: {key: chain[i] for key, chain in zip(keys, chains)}
-            for i, spec in enumerate(specs)}, timeline
+    """Run every design's chain of flows over the collection (executor.run_chains):
+    ({flow_name: {(dataset, design_id): outcome}}, timeline); two datasets may hold
+    designs of the same id."""
+    from .executor import Timeline, flow_outcomes, run_chains
+    results: dict = {spec.name: {} for spec in specs}
+    timeline = Timeline(n_workers)
+    for name, design, _, spans in run_chains(collection, specs, timeline, strategy, pin_cores):
+        for outcome in flow_outcomes(design, specs, spans):
+            results[outcome.flow_name][name, design.id] = outcome
+    return results, timeline
 
 
 def extract_reports(collection: DatasetCollection, specs: list[ToolFlowSpec],
                     results: dict) -> int:
     """Write the data_*.json, without execution section, of each design results holds no
-    first-flow outcome for; returns how many. Each chain writes its own (executor.execute),
+    first-flow outcome for; returns how many. Each chain writes its own (executor.run_chains),
     so this serves a tree built elsewhere, passed with results={}."""
     from .pool import fork_imap
     outcomes = results.get(specs[0].name, {}) if specs else {}
@@ -208,14 +207,17 @@ def _report_expansion(result) -> bool:
 
 def _build(collection: DatasetCollection, specs: list[ToolFlowSpec], strategy: str,
            n_workers: int, pin_cores: bool, work_dir: Path) -> Timeline:
-    """Run the flows, write timeline.json and print a summary."""
-    from .executor import write_timeline
-    results, timeline = run_flows(collection, specs, strategy, n_workers, pin_cores)
+    """Run the flows (executor.run_chains), write timeline.json, print each flow's statuses."""
+    from .executor import Timeline, run_chains, write_timeline
+    timeline = Timeline(n_workers)
+    counts = [Counter() for _ in specs]
+    for *_, spans in run_chains(collection, specs, timeline, strategy, pin_cores):
+        for count, (_, _, status, _) in zip(counts, spans):  # the flows' spans
+            count[status] += 1
     write_timeline(work_dir / TIMELINE_FILENAME, timeline)
-    for flow_name, by_design in results.items():
-        counts = Counter(outcome.status for outcome in by_design.values())
-        summary = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
-        print(f"flow {flow_name}: {summary}")
+    for spec, count in zip(specs, counts):
+        summary = ", ".join(f"{status}={n}" for status, n in sorted(count.items()))
+        print(f"flow {spec.name}: {summary}")
     return timeline
 
 

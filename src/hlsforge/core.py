@@ -45,7 +45,7 @@ CSYNTH_REPORT_RELPATH = "hls_prj/solution1/syn/report/csynth.xml"
 IMPL_REPORT_RELPATH = "hls_prj/impl_report.json"
 POST_FRONTEND_SUFFIX = "__post_frontend"
 VENDORS = ("xilinx", "intel")
-# the executor's scheduling policies (executor.execute)
+# the executor's scheduling policies (executor.run_chains)
 STRATEGIES = ("fine_grained", "naive")
 # file suffixes of compilation units, and of every source a lowering may annotate
 COMPILED_SUFFIXES = (".c", ".cc", ".cpp", ".cxx")

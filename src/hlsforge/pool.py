@@ -152,9 +152,9 @@ class _Worker:
 
 
 def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
-              chunksize: int | None = None, on_lost=None):
+              chunksize: int | None = None, on_lost=None, on_ready=None):
     """Yield fn(item) for each item, in item order, as n_workers forked
-    processes send the results back.
+    processes send the results back; on_ready(), if given, runs once all have forked.
 
     It runs in the calling process when there is at most one worker or item
     and no pinning; with pinning it always forks, so the caller's own affinity
@@ -171,6 +171,8 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     """
     n_workers = min(n_workers, len(items))
     if n_workers == 0 or (n_workers == 1 and not pin_cores):
+        if on_ready is not None:
+            on_ready()
         yield from map(fn, items)
         return
     # imported here: only a pool needs them, and the package imports faster without them
@@ -290,6 +292,8 @@ def fork_imap(fn, items: list, n_workers: int, pin_cores: bool = False,
     try:
         for index in range(n_workers):
             fork(index)
+        if on_ready is not None:
+            on_ready()
         for worker in list(workers.values()):  # only once every worker is forked
             assign(worker)
         while received < n_items:

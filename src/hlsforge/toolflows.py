@@ -175,6 +175,7 @@ class FlowOutcome:
     status: str
     runtime_s: float
     log_path: Path | None
+    error: str | None = None  # the class name of the exception that failed the run
 
 
 @dataclass(frozen=True)
@@ -580,9 +581,10 @@ def run_flow(spec: ToolFlowSpec, design) -> FlowOutcome:
 
 def failed_outcome(spec: ToolFlowSpec, design, exc: Exception, runtime: float = 0.0,
                    detail: str = "") -> FlowOutcome:
-    """spec failed on design with exc: no earlier run's report stays, and the log names exc."""
-    return _outcome(spec, design, STATUS_FAILED, runtime,
-                    f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}")
+    """spec failed on design with exc: its log and outcome name exc; no earlier report stays."""
+    return replace(_outcome(spec, design, STATUS_FAILED, runtime,
+                            f"flow {spec.name} failed: {type(exc).__name__}: {exc}\n{detail}"),
+                   error=type(exc).__name__)
 
 
 def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "",
@@ -591,22 +593,21 @@ def extract_design(design, primary: ToolFlowSpec | None = None, version: str = "
     absent or unreadable report leaves its section null. The execution section,
     left out without an outcome, records the primary (first) flow's outcome:
     an external flow's runtime as measured, a mock flow's simulated one."""
-    from .aggregate import (ExecutionMeta, ImplMetrics, MetricsBundle,
-                            parse_vitis_csynth_report, write_standard_json)
+    from .aggregate import (ExecutionMeta, ImplMetrics, parse_vitis_csynth_report,
+                            write_standard_json)
     root = design.dir
-    bundle = MetricsBundle()
+    hls = impl = execution = None
     with contextlib.suppress(OSError, UnicodeDecodeError, HlsForgeError):
-        bundle.hls = parse_vitis_csynth_report((root / CSYNTH_REPORT_RELPATH).read_text())
+        hls = parse_vitis_csynth_report((root / CSYNTH_REPORT_RELPATH).read_text())
     with contextlib.suppress(MalformedReport):
-        bundle.impl = read_record(ImplMetrics, root / IMPL_REPORT_RELPATH, ignore_unknown=True)
+        impl = read_record(ImplMetrics, root / IMPL_REPORT_RELPATH, ignore_unknown=True)
     if outcome is not None:
         if primary.kind == KIND_EXTERNAL:
             runtime = round(outcome.runtime_s, 6)
         else:
-            hls = bundle.hls
             runtime = simulated_runtime_s(hls.lut, hls.ff) if hls is not None else 0.0
-        bundle.execution = ExecutionMeta(primary.name, version, runtime, outcome.status)
-    return len(write_standard_json(root, bundle))
+        execution = ExecutionMeta(primary.name, version, runtime, outcome.status)
+    return len(write_standard_json(root, hls, impl, execution))
 
 
 def perturbed_constants(base: MockCostConstants = MockCostConstants(),

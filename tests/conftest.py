@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,18 @@ def make_design(root: Path, name: str, template: str | None = SIMPLE_TEMPLATE,
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content)
     return d
+
+
+# a design's metric sections, in write_standard_json's order
+Sections = namedtuple("Sections", "hls impl execution", defaults=(None, None, None))
+
+
+def read_sections(design_dir: Path) -> Sections:
+    """The sections design_dir's data_hls/impl/execution.json hold, each read as
+    aggregation reads it (aggregate._read_section): None when absent or unreadable."""
+    from hlsforge.aggregate import _SECTIONS, _read_section
+    return Sections(*(_read_section(Path(design_dir), filename, cls)
+                      for cls, _, filename in _SECTIONS))
 
 
 @pytest.fixture

@@ -23,17 +23,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import REFERENCE_TEMPLATE, SIMPLE_TEMPLATE, make_design, tree_bytes
+from conftest import (REFERENCE_TEMPLATE, SIMPLE_TEMPLATE, Sections, make_design, read_sections,
+                      tree_bytes)
 from hlsforge.aggregate import (
     ExecutionMeta,
     HlsSynthMetrics,
     ImplMetrics,
-    MetricsBundle,
     aggregate_collection,
     archive_dataset,
     export_tabular,
     load_table,
-    read_standard_json,
     write_standard_json,
 )
 from hlsforge.analysis import wilcoxon_signed_rank
@@ -460,7 +459,7 @@ def test_criterion_09_range_extension_adjusted(capsys, demo):
         assert info["elapsed"] < info["budget"]
 
 
-def random_bundle(rng: random.Random) -> MetricsBundle:
+def random_bundle(rng: random.Random) -> Sections:
     def maybe_int(p_null=0.2, bound=10 ** 7):
         return None if rng.random() < p_null else rng.randrange(bound)
 
@@ -478,7 +477,7 @@ def random_bundle(rng: random.Random) -> MetricsBundle:
         tool_name=rng.choice(("mock_hls_synth", "vitis_hls_synth", "custom_0")),
         tool_version=f"v{rng.randrange(100)}", runtime_s=rng.random() * 1000,
         status=rng.choice(("ok", "failed", "timeout", "skipped_missing_files")))
-    return MetricsBundle(hls=hls, impl=impl, execution=execution)
+    return Sections(hls=hls, impl=impl, execution=execution)
 
 
 def test_criterion_10_round_trips_and_byte_stability(capsys, demo, tmp_path):
@@ -491,8 +490,8 @@ def test_criterion_10_round_trips_and_byte_stability(capsys, demo, tmp_path):
             bundle = random_bundle(rng)
             target = tmp_path / "bundles" / f"b{i:04d}"
             target.mkdir(parents=True)
-            write_standard_json(target, bundle)
-            assert read_standard_json(target) == bundle
+            write_standard_json(target, *bundle)
+            assert read_sections(target) == bundle
 
         first = archive_dataset(demo.out, tmp_path / "first.zip").read_bytes()
         second = archive_dataset(demo.out, tmp_path / "second.zip").read_bytes()

@@ -21,20 +21,19 @@ from hlsforge.aggregate import (
     ExecutionMeta,
     HlsSynthMetrics,
     ImplMetrics,
-    MetricsBundle,
     aggregate_collection,
     archive_dataset,
     export_tabular,
     import_external_dataset,
     load_table,
     parse_vitis_csynth_report,
-    read_standard_json,
     row_from_design_dir,
     write_standard_json,
     _archived,
 )
 from hlsforge.core import read_record, walk_files
 from hlsforge.errors import MalformedReport, MalformedSpec, MissingDirectory, SourceUnreadable
+from conftest import Sections, read_sections
 
 GOOD_XML = """\
 <?xml version="1.0"?>
@@ -113,8 +112,8 @@ def test_read_impl_report(tmp_path):
         read_impl_report(tmp_path, "[1, 2]")
 
 
-def sample_bundle() -> MetricsBundle:
-    return MetricsBundle(
+def sample_bundle() -> Sections:
+    return Sections(
         hls=HlsSynthMetrics(10, 12, 20, None, 3.4, 600, 380, 4, 1, 0),
         impl=ImplMetrics(6.5, 0.1, 540, 342, 4, 1, 0.51),
         execution=ExecutionMeta("mock_hls_synth", "mock-2023.1", 0.0196, "ok"))
@@ -122,24 +121,24 @@ def sample_bundle() -> MetricsBundle:
 
 def test_standard_json_round_trip(tmp_path):
     bundle = sample_bundle()
-    written = write_standard_json(tmp_path, bundle)
+    written = write_standard_json(tmp_path, *bundle)
     assert [p.name for p in written] == ["data_hls.json", "data_impl.json", "data_execution.json"]
-    assert read_standard_json(tmp_path) == bundle
+    assert read_sections(tmp_path) == bundle
 
 
 def test_standard_json_partial_bundle(tmp_path):
-    bundle = MetricsBundle(hls=sample_bundle().hls)
-    write_standard_json(tmp_path, bundle)
-    loaded = read_standard_json(tmp_path)
+    bundle = Sections(hls=sample_bundle().hls)
+    write_standard_json(tmp_path, *bundle)
+    loaded = read_sections(tmp_path)
     assert loaded.hls == bundle.hls
     assert loaded.impl is None
     assert loaded.execution is None
 
 
 def test_corrupted_section_reads_as_absent(tmp_path):
-    write_standard_json(tmp_path, sample_bundle())
+    write_standard_json(tmp_path, *sample_bundle())
     (tmp_path / "data_impl.json").write_text("{definitely broken")
-    loaded = read_standard_json(tmp_path)
+    loaded = read_sections(tmp_path)
     assert loaded.impl is None
     assert loaded.hls is not None
 
@@ -159,7 +158,7 @@ def make_design_dir(tmp_path, name="d__12345678", with_meta=True, bundle=None, b
                  "choice": "cyclic-2"},
             ]}))
     if bundle is not None:
-        write_standard_json(d, bundle)
+        write_standard_json(d, *bundle)
     return d
 
 
@@ -592,10 +591,10 @@ def test_read_impl_report_rejects_a_value_of_the_wrong_type(tmp_path, name, valu
 
 
 def test_a_sidecar_integer_reads_as_a_float_where_a_float_is_due(tmp_path):
-    write_standard_json(tmp_path, sample_bundle())
+    write_standard_json(tmp_path, *sample_bundle())
     impl = json.loads((tmp_path / "data_impl.json").read_text())
     (tmp_path / "data_impl.json").write_text(json.dumps({**impl, "wns_ns": 1}))
-    wns = read_standard_json(tmp_path).impl.wns_ns
+    wns = read_sections(tmp_path).impl.wns_ns
     assert wns == 1.0 and isinstance(wns, float)
     row = row_from_design_dir(tmp_path, dataset="ds")
     out = export_tabular(AggregatedTable([row]), tmp_path / "t.csv")

@@ -128,7 +128,7 @@ print(json.dumps({"designs": n_designs, "calls": calls, "files": files,
 CALLS_311 = {
     "expand": 943.78,
     "load_post_frontend": 95.5,
-    "build": 1081.12,
+    "build": 1078.16,
     "aggregate": 312.41,
     "export": 72.85,
     "archive": 439.35,

@@ -21,11 +21,9 @@ from hlsforge.aggregate import (
     ExecutionMeta,
     HlsSynthMetrics,
     ImplMetrics,
-    MetricsBundle,
     aggregate_collection,
     load_table,
     parse_vitis_csynth_report,
-    read_standard_json,
     row_from_design_dir,
     write_standard_json,
 )
@@ -42,7 +40,7 @@ from hlsforge.toolflows import (
     perturbed_constants,
     run_flow,
 )
-from conftest import make_design
+from conftest import Sections, make_design, read_sections
 
 
 def expanded_gemm(tmp_path, n_samples: int):
@@ -309,11 +307,11 @@ def test_failed_rebuild_keeps_no_results_of_the_old_version(tmp_path):
 def test_rewrite_drops_sections_now_absent(tmp_path):
     hls = HlsSynthMetrics(10, 10, 20, None, 3.0, 100, 80, 1, 2, 0)
     impl = ImplMetrics(6.5, 0.1, 90, 72, 1, 2, 0.6)
-    write_standard_json(tmp_path, MetricsBundle(hls, impl, ExecutionMeta("s", "A", 0.1, "ok")))
+    write_standard_json(tmp_path, hls, impl, ExecutionMeta("s", "A", 0.1, "ok"))
     execution = ExecutionMeta("s", "B", 0.0, "failed")
-    written = write_standard_json(tmp_path, MetricsBundle(execution=execution))
+    written = write_standard_json(tmp_path, execution=execution)
     assert written == [tmp_path / "data_execution.json"]
-    assert read_standard_json(tmp_path) == MetricsBundle(execution=execution)
+    assert read_sections(tmp_path) == Sections(execution=execution)
 
 
 GOOD_META = {"id": "d__12345678", "base_name": "d", "vendor": "xilinx",
@@ -341,7 +339,7 @@ def built_tree(work, meta=GOOD_META):
         design = work / "ds__post_frontend" / name
         design.mkdir(parents=True)
         (design / "data_design.json").write_text(json.dumps({**meta, "id": name}))
-        write_standard_json(design, MetricsBundle(HLS, IMPL, ExecutionMeta("s", "A", 0.1, "ok")))
+        write_standard_json(design, HLS, IMPL, ExecutionMeta("s", "A", 0.1, "ok"))
     return work / "ds__post_frontend" / "d__12345678"
 
 
@@ -411,7 +409,7 @@ def test_each_chain_writes_its_own_sidecars(tmp_path):
     designs = collection["ds__post_frontend"].designs
     assert len(designs) == 4
     for design in designs:
-        bundle = read_standard_json(design.dir)
+        bundle = read_sections(design.dir)
         assert bundle.execution.tool_version == "mock-2024.1"
         assert bundle.hls == parse_vitis_csynth_report(
             (design.dir / CSYNTH_REPORT_RELPATH).read_text())
@@ -443,7 +441,7 @@ def test_extract_reports_rewrites_a_tree_built_elsewhere(tmp_path):
     for design in designs:
         hls = parse_vitis_csynth_report((design.dir / CSYNTH_REPORT_RELPATH).read_text())
         impl = read_record(ImplMetrics, design.dir / IMPL_REPORT_RELPATH, ignore_unknown=True)
-        assert read_standard_json(design.dir) == MetricsBundle(hls, impl)
+        assert read_sections(design.dir) == Sections(hls, impl)
         assert not (design.dir / "data_execution.json").exists()
 
 
@@ -496,7 +494,7 @@ def test_a_sidecar_that_cannot_be_written_fails_only_its_design(tmp_path, capsys
     assert f"IsADirectoryError: [Errno 21] Is a directory: '{bad.dir / 'data_hls.json'}'" in log
     for design in designs:
         if design is not bad:
-            assert read_standard_json(design.dir).execution.status == STATUS_OK
+            assert read_sections(design.dir).execution.status == STATUS_OK
 
 
 HUGE = 10 ** 400  # past every float: simulated_runtime_s raises OverflowError on its LUTs
@@ -547,7 +545,7 @@ def test_an_extraction_error_fails_only_its_design(tmp_path, capsys, trigger):
         assert [name for name in ("data_hls.json", "data_impl.json", "data_execution.json")
                 if (bad.dir / name).exists()] == []
         for design in good:
-            assert read_standard_json(design.dir).execution.status == STATUS_OK
+            assert read_sections(design.dir).execution.status == STATUS_OK
 
 
 def test_a_lost_worker_fails_its_chain_alone(tmp_path, capsys):
@@ -575,7 +573,7 @@ def test_a_lost_worker_fails_its_chain_alone(tmp_path, capsys):
     for design in designs:
         statuses = {entry["status"] for entry in timeline if entry["design_id"] == design.id
                     and entry["dataset"] == design.dir.parent.name}
-        bundle = read_standard_json(design.dir)
+        bundle = read_sections(design.dir)
         if design in lost:
             assert statuses == {STATUS_FAILED}
             for log in ("mock_hls_synth.log", "poke.log"):
@@ -606,10 +604,10 @@ def test_a_log_that_cannot_be_written_fails_only_its_design(tmp_path, capsys):
         else {"mock_hls_synth": STATUS_FAILED, "mock_impl": "skipped_missing_files"}[flow]
         for design in designs for flow in ("mock_hls_synth", "mock_impl")}
     assert not (bad.dir / CSYNTH_REPORT_RELPATH).exists()  # a failed run keeps no report
-    assert read_standard_json(bad.dir).execution.status == STATUS_FAILED
+    assert read_sections(bad.dir).execution.status == STATUS_FAILED
     for design in designs:
         if design is not bad:
-            bundle = read_standard_json(design.dir)
+            bundle = read_sections(design.dir)
             assert bundle.execution.status == STATUS_OK and bundle.impl is not None
 
 
@@ -636,8 +634,8 @@ def test_a_stale_report_that_cannot_be_removed_fails_only_its_design(tmp_path, c
     assert lines[:3] == [f"flow mock_hls_synth failed: {error}", "",
                          "Traceback (most recent call last):"]
     assert lines[-3:] == [f"{error}", f"stale report not removed: {error}", ""]
-    assert read_standard_json(bad.dir).execution.status == STATUS_FAILED
+    assert read_sections(bad.dir).execution.status == STATUS_FAILED
     for design in designs:
         if design is not bad:
-            bundle = read_standard_json(design.dir)
+            bundle = read_sections(design.dir)
             assert bundle.execution.status == STATUS_OK and bundle.impl is not None

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import random
+import resource
 import time
 
 import pytest
 
 import hlsforge.executor as executor
 from hlsforge import pool
+from hlsforge.cli import main
 from hlsforge.core import WorkspaceLayout, load_dataset
 from hlsforge.executor import (
     ExecutionRecord,
     Job,
     Timeline,
     execute,
+    run_chains,
     simulate_schedule,
     utilization_rows,
     write_timeline,
@@ -26,6 +30,8 @@ from hlsforge.frontends import FrontendConfig, execute_frontend
 from hlsforge.toolflows import (
     STATUS_FAILED,
     STATUS_OK,
+    STATUS_SKIPPED,
+    STATUS_TIMEOUT,
     custom_flow,
     mock_impl_flow,
     mock_synth_flow,
@@ -296,6 +302,20 @@ def test_utilization_rows_cover_all_workers(tmp_path):
     assert sum(r["n_jobs"] for r in rows) == 6
     for row in rows:
         assert row["busy_s"] >= 0.0
+    # chains that carry extraction spans: busy_s counts each worker's flow spans alone
+    timeline = Timeline(2)
+    flows_s, extraction_s = {0: 0.0, 1: 0.0}, {0: 0.0, 1: 0.0}
+    for _, _, worker, spans in run_chains(collection, [mock_synth_flow(), mock_impl_flow()],
+                                          timeline):
+        *flow_spans, (start, end, status, _) = spans
+        assert status == STATUS_OK
+        flows_s[worker] += sum(e - s for s, e, _, _ in flow_spans)
+        extraction_s[worker] += end - start
+    rows = utilization_rows(timeline)
+    assert sum(r["n_jobs"] for r in rows) == 12
+    for row in rows:
+        assert row["busy_s"] == pytest.approx(flows_s[row["worker"]], abs=2e-6)
+        assert extraction_s[row["worker"]] > 1e-5  # counted, it would show
 
 
 def test_the_timeline_clock_starts_after_the_workers_have_forked(tmp_path, monkeypatch):
@@ -357,3 +377,88 @@ def test_a_lost_chains_logs_are_pinned(tmp_path):
             assert outcome.log_path.read_text() == (
                 f"flow {flow.name} failed: WorkerLost: the pool worker running this chain "
                 f"exited before it finished\n")
+
+
+def test_a_lost_chains_spans_name_worker_lost(tmp_path):
+    collection = lowered_collection(tmp_path)
+    flows = [mock_synth_flow(), custom_flow("die", ("sh", "-c", "case $(pwd) in *b0__*) "
+                                                                "kill -9 $PPID; sleep 1;; esac"))]
+    results = list(run_chains(collection, flows, Timeline(2)))
+    assert len(results) == 12
+    for _, design, worker, spans in results:
+        lost = design.base_name == "b0"
+        assert len(spans) == 3 and worker in ((-1,) if lost else (0, 1))
+        expected = (STATUS_FAILED, "WorkerLost") if lost else (STATUS_OK, None)
+        assert [span[2:] for span in spans[:2]] == [expected] * 2
+        assert spans[2][2:] == (STATUS_OK, None)  # the extraction, which records the loss
+
+
+def test_a_flow_errors_class_reaches_the_parent(tmp_path):
+    collection = lowered_collection(tmp_path, names=("a",))
+    bad = collection["a__post_frontend"].designs[2]
+    with (bad.dir / "opt.tcl").open("a") as handle:
+        handle.write("set_directive_unroll -factor 0 top/lp1\n")
+    results = list(run_chains(collection, [mock_synth_flow(), mock_impl_flow()], Timeline(2)))
+    assert {worker for _, _, worker, _ in results} == {0, 1}  # sent back by pool workers
+    for _, design, _, spans in results:
+        if design is bad:
+            assert [span[2:] for span in spans] == [
+                (STATUS_FAILED, "InvalidFactor"), (STATUS_SKIPPED, None), (STATUS_OK, None)]
+        else:
+            assert [span[2:] for span in spans] == [(STATUS_OK, None)] * 3
+
+
+def test_a_custom_flow_past_its_timeout_reaches_the_parent_as_timeout(tmp_path):
+    root = tmp_path / "designs"
+    for name in ("fast", "slow"):
+        make_design(root, name, template=None)
+    flow = custom_flow("nap", ("sh", "-c", "case $(pwd) in *slow) sleep 5;; esac"), timeout_s=0.3)
+    started = time.monotonic()
+    results = list(run_chains({"ds": load_dataset(root)}, [flow], Timeline(2)))
+    assert time.monotonic() - started < 4
+    assert [(design.name, worker >= 0, spans[0][2:]) for _, design, worker, spans in results] \
+        == [("fast", True, (STATUS_OK, None)), ("slow", True, (STATUS_TIMEOUT, None))]
+    _, _, _, [(start, end, _, _), _] = results[1]
+    assert 0.3 <= end - start < 4
+
+
+def test_each_demo_chain_sends_a_span_per_flow_and_one_for_its_extraction(tmp_path, monkeypatch):
+    """The demo build reads the stream alone; each chain's spans cover its wall time."""
+    streamed, run_chain, stream = [], executor._run_chain, executor.run_chains
+
+    def timed_chain(flows, version, design):  # in the worker: the chain's own wall time
+        gc.disable()  # a collection of the heap the worker forked with pauses for milliseconds
+        switches = resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw
+        start = time.monotonic()
+        result = run_chain(flows, version, design)
+        wall = time.monotonic() - start
+        preempted = resource.getrusage(resource.RUSAGE_SELF).ru_nivcsw > switches
+        (design.dir / "chain_wall.json").write_text(json.dumps([wall, preempted]))
+        return result
+
+    def recorded(*args, **kwargs):
+        for result in stream(*args, **kwargs):
+            streamed.append(result)
+            yield result
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the build calls run_flows or execute")
+
+    monkeypatch.setattr(executor, "_run_chain", timed_chain)
+    monkeypatch.setattr(executor, "run_chains", recorded)
+    monkeypatch.setattr(executor, "execute", refused)
+    monkeypatch.setattr("hlsforge.cli.run_flows", refused)
+    assert main(["demo", "--out", str(tmp_path / "demo"), "--n-samples", "2",
+                 "--n-workers", "2"]) == 0
+    assert len(streamed) == 36  # 12 kernels sampled twice, and their 12 baselines
+    walls = covered = 0.0
+    for _, design, worker, spans in streamed:
+        assert worker in (0, 1) and len(spans) == 3  # mock synth, mock impl, extraction
+        assert [span[2:] for span in spans] == [(STATUS_OK, None)] * 3
+        assert all(earlier[1] == later[0] for earlier, later in zip(spans, spans[1:]))
+        wall, preempted = json.loads((design.dir / "chain_wall.json").read_text())
+        spanned = sum(end - start for start, end, _, _ in spans)
+        # a chain whose core the scheduler took may have lost that time outside its spans
+        assert spanned == pytest.approx(wall, rel=0.05) or preempted
+        walls, covered = walls + wall, covered + spanned
+    assert covered == pytest.approx(walls, rel=0.05)
